@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .ssm import SsmParams, init_ssm_params, scan_chunked, scan_sequential
+from .ssm import SsmParams, init_ssm_params, scan_chunked
 from .tensor import DimensionError, Tensor
 
 
@@ -317,7 +317,7 @@ class MambaBlock(Module):
             self._pe_cache[key] = Tensor(positional_encoding(length, channels, self._dtype))
         return self._pe_cache[key]
 
-    def forward(self, x: Tensor, mode: str = "chunked") -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         bsz, c, h, w = x.shape
         L = h * w
         seq = T.transpose(T.reshape(x, (bsz, c, L)), (0, 2, 1))   # (B, L, C)
@@ -328,10 +328,7 @@ class MambaBlock(Module):
         body = self.conv(body)
         if self._silu_after_conv:
             body = T.silu(body)
-        if mode == "sequential":
-            body = scan_sequential(body, self.ssm)
-        else:
-            body = scan_chunked(body, self.ssm, chunk_len=self._chunk)
+        body = scan_chunked(body, self.ssm, chunk_len=self._chunk)
         gate = T.silu(self.gate(seq))
         y = self.out(gate * body)                                  # (B, L, C)
         return T.reshape(T.transpose(y, (0, 2, 1)), (bsz, c, h, w))

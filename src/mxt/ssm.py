@@ -1,23 +1,30 @@
-"""Selective state-space scan: ZOH discretization, recurrence kernels, adjoint.
+"""Selective state-space scan: one fused, chunked tape op plus its oracles.
 
 The continuous system h'(t) = A h(t) + B x(t), y(t) = C h(t) with diagonal A
 discretizes under zero-order hold to the elementwise recurrence
 
     h_t = a_bar_t * h_{t-1} + b_bar_t * x_t,   y_t = sum_n c_t[n] * h_t[n]
 
-with a_bar = exp(delta*a) and b_bar = (exp(delta*a) - 1)/a * b. Selectivity
-makes delta, b, c functions of the input sequence while a stays a learned
-per-(channel, state) constant, always negative via a = -exp(a_log).
+with a_bar = exp(delta*a) and b_bar = phi * b, phi = (exp(delta*a) - 1)/a.
+Selectivity makes delta, b, c functions of the input sequence while a stays a
+learned per-(channel, state) constant, always negative via a = -exp(a_log).
 
-Two forward kernels compute the same recurrence: a plain sequential loop (the
-reference) and a chunked kernel that composes the per-step affine maps
-(a, b) -> (a*a', a*b' + b) with a Hillis-Steele doubling pass inside each chunk
-and carries the state across chunks. With chunk_len = 1 the chunked kernel
-performs literally the sequential update, so the two match bit for bit there.
+The model runs all of this as one tape op, `scan_recurrence`. It walks the
+sequence one chunk at a time: discretize the chunk, compose its per-step
+affine maps (a, b) -> (a*a', a*b' + b) with a Hillis-Steele doubling pass,
+apply them to the carried state, check that every state is finite and read
+out y. No (B, L, E, N) array outlives its chunk. For backward the op keeps
+only its forward-time inputs x, delta, a, b, c and the state entering each
+chunk. Backward walks the chunks in reverse: it recomputes the chunk's
+states from the saved carry, runs the adjoint of the linear recurrence, the
+reversed recurrence lam_t = g_t + a_bar_{t+1} * lam_{t+1} (so that
+grad_a_bar[t] = lam_t * h_{t-1} and grad_bx[t] = lam_t), and only there forms
+the ZOH partials dphi/da and dphi/ddelta = exp(delta*a).
 
-The backward pass reuses the same kernels: the adjoint of a linear recurrence
-is the reversed recurrence lam_t = g_t + a_{t+1} * lam_{t+1}, after which
-grad_a[t] = lam_t * h_{t-1} and grad_b[t] = lam_t.
+The unfused pieces stay as tested oracles: `zoh_gain`/`discretize_zoh` (the
+discretization as ordinary tape ops), `recurrence_sequential` (a plain loop)
+and `recurrence_chunked` (the same doubling composition the fused op uses).
+`scan_sequential` chains them into the reference selective scan.
 """
 
 from __future__ import annotations
@@ -36,35 +43,46 @@ SERIES_BRANCH = 1e-8
 # ---- ZOH discretization ------------------------------------------------------
 
 
-def _zoh_gain_arrays(a: np.ndarray, delta: np.ndarray):
-    """phi = (exp(delta*a) - 1)/a elementwise, with its partials.
+def _zoh_phi(a: np.ndarray, delta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """phi = (exp(x) - 1)/a for x = delta*a, elementwise with broadcasting.
 
-    Returns (phi, dphi_da, dphi_ddelta) as broadcast arrays. Near delta*a = 0
-    the quotient cancels catastrophically, so a three-term series
-    phi = delta * (1 + x/2 + x^2/6), x = delta*a, takes over; its truncation
-    error is O(x^3/24), far below 1e-12 relative at the 1e-8 branch point.
+    Near x = 0 the quotient cancels catastrophically, so a three-term series
+    phi = delta * (1 + x/2 + x^2/6) takes over; its truncation error is
+    O(x^3/24), far below 1e-12 relative at the 1e-8 branch point. The series
+    is only evaluated when some |x| falls below the branch point.
     """
-    x = delta * a
-    small = np.abs(x) < SERIES_BRANCH
-    ex = np.exp(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi_main = np.expm1(x) / a
-        dphi_da_main = (delta * ex - phi_main) / a
-    phi_series = delta * (1.0 + x * (0.5 + x / 6.0))
-    dphi_da_series = delta * delta * (0.5 + x / 3.0)
-    phi = np.where(small, phi_series, phi_main)
-    dphi_da = np.where(small, dphi_da_series, dphi_da_main)
-    return phi, dphi_da, ex
+        phi = np.expm1(x) / a
+    small = np.abs(x) < SERIES_BRANCH
+    if small.any():
+        phi = np.where(small, delta * (1.0 + x * (0.5 + x / 6.0)), phi)
+    return phi
+
+
+def _zoh_dphi_da(a, delta, x, phi, ex) -> np.ndarray:
+    """Partial of phi in a, given x = delta*a, phi and ex = exp(x)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dphi = (delta * ex - phi) / a
+    small = np.abs(x) < SERIES_BRANCH
+    if small.any():
+        dphi = np.where(small, delta * delta * (0.5 + x / 3.0), dphi)
+    return dphi
+
+
+def _check_delta(delta: np.ndarray, op: str) -> None:
+    if np.any(delta < 0):
+        raise ContractError(f"{op}: delta must be >= 0")
 
 
 def zoh_gain(a: Tensor, delta: Tensor) -> Tensor:
     """Differentiable phi(a, delta) = (exp(delta*a) - 1)/a with broadcasting."""
-    if np.any(delta.data < 0):
-        raise ContractError("zoh: delta must be >= 0")
-    phi, dphi_da, ex = _zoh_gain_arrays(a.data, delta.data)
+    _check_delta(delta.data, "zoh")
+    phi = _zoh_phi(a.data, delta.data, delta.data * a.data)
 
-    def bwd(g, a=a, delta=delta):
-        ga = T._unbroadcast(g * dphi_da, a.shape) if a.requires_grad else None
+    def bwd(g, ad=a.data, dd=delta.data):
+        x = dd * ad
+        ex = np.exp(x)
+        ga = T._unbroadcast(g * _zoh_dphi_da(ad, dd, x, phi, ex), a.shape) if a.requires_grad else None
         gd = T._unbroadcast(g * ex, delta.shape) if delta.requires_grad else None
         return ga, gd
 
@@ -78,8 +96,7 @@ def discretize_zoh(a: Tensor, b: Tensor, delta: Tensor):
     (the limit: a_bar = 1, b_bar = 0); rejects delta < 0. All arguments
     broadcast elementwise.
     """
-    if np.any(delta.data < 0):
-        raise ContractError("discretize_zoh: delta must be >= 0")
+    _check_delta(delta.data, "discretize_zoh")
     a_bar = T.exp(delta * a)
     b_bar = zoh_gain(a, delta) * b
     return a_bar, b_bar
@@ -98,30 +115,35 @@ def recurrence_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
+def _compose_chunk(A: np.ndarray, B: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """States of one chunk of h_t = A_t h_{t-1} + B_t entered with `carry`.
+
+    (A, B)[t] accumulates the affine map of the chunk's steps up to t through
+    log2(chunk) doubling rounds, overwriting A and B; the maps then apply to
+    the carry.
+    """
+    d, n = 1, A.shape[1]
+    while d < n:
+        # numpy buffers overlapping operands, so each right-hand side reads
+        # the A and B of the previous round
+        B[:, d:] += A[:, d:] * B[:, :-d]
+        A[:, d:] *= A[:, :-d]
+        d *= 2
+    return A * carry[:, None] + B
+
+
 def recurrence_chunked(a: np.ndarray, b: np.ndarray, chunk_len: int) -> np.ndarray:
     """Same recurrence via per-chunk parallel composition plus a carried state.
 
-    Within a chunk, (A, B)[t] accumulates the affine map of steps s..t through
-    log2(chunk) doubling rounds; the chunk then applies its maps to the carry.
+    With chunk_len = 1 this performs literally the sequential update.
     """
     if chunk_len < 1:
         raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
-    L = b.shape[1]
     h = np.empty_like(b)
     carry = np.zeros(b.shape[:1] + b.shape[2:], dtype=b.dtype)
-    for s in range(0, L, chunk_len):
-        e = min(s + chunk_len, L)
-        A = a[:, s:e].copy()
-        B = b[:, s:e].copy()
-        d = 1
-        n = e - s
-        while d < n:
-            # read old A and old B on the right-hand sides, then commit
-            newA = A[:, d:] * A[:, :-d]
-            B[:, d:] = B[:, d:] + A[:, d:] * B[:, :-d]
-            A[:, d:] = newA
-            d *= 2
-        h[:, s:e] = A * carry[:, None] + B
+    for s in range(0, b.shape[1], chunk_len):
+        e = min(s + chunk_len, b.shape[1])
+        h[:, s:e] = _compose_chunk(a[:, s:e].copy(), b[:, s:e].copy(), carry)
         carry = h[:, e - 1]
     return h
 
@@ -129,45 +151,104 @@ def recurrence_chunked(a: np.ndarray, b: np.ndarray, chunk_len: int) -> np.ndarr
 def _first_nonfinite_step(h: np.ndarray) -> int:
     bad = ~np.isfinite(h)
     axes = (0,) + tuple(range(2, h.ndim))
-    per_t = bad.any(axis=axes)
-    return int(np.argmax(per_t))
+    return int(np.argmax(bad.any(axis=axes)))
 
 
-def scan_recurrence(a_bar: Tensor, bx: Tensor, mode: str = "chunked", chunk_len: int = 64) -> Tensor:
-    """Differentiable linear recurrence h_t = a_bar_t h_{t-1} + bx_t.
+# ---- the fused selective scan ----------------------------------------------------
 
-    Shapes (B, L, ...) with matching a_bar/bx; raises if any state comes out
-    non-finite, naming the first offending timestep.
+
+def _scan_chunk(x, delta, a, b, carry):
+    """Discretize one chunk and run it from `carry`: (delta*a, a_bar, phi, h)."""
+    d4 = delta[:, :, :, None]
+    z = d4 * a
+    a_bar = np.exp(z)
+    phi = _zoh_phi(a, d4, z)
+    h = _compose_chunk(a_bar.copy(), phi * b[:, :, None, :] * x[:, :, :, None], carry)
+    return z, a_bar, phi, h
+
+
+def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
+                    chunk_len: int = 64) -> Tensor:
+    """Fused selective scan y_t = sum_n c_t[n] h_t[n] over (B, L, E) inputs.
+
+    h_t = exp(delta_t a) h_{t-1} + phi(a, delta_t) b_t x_t with h_{-1} = 0;
+    x, delta are (B, L, E), a is (E, N), b and c are (B, L, N). Runs
+    chunk_len steps at a time and raises NumericError naming the first
+    timestep whose state is non-finite. Backward recomputes each chunk from
+    the state saved at its start.
     """
-    if a_bar.shape != bx.shape:
-        raise DimensionError(f"scan: a_bar {a_bar.shape} vs bx {bx.shape}")
-    if a_bar.ndim < 2 or a_bar.shape[1] < 1:
-        raise DimensionError(f"scan needs (B, L, ...) with L >= 1, got {a_bar.shape}")
-    if mode == "sequential":
-        run = lambda a, b: recurrence_sequential(a, b)
-    elif mode == "chunked":
-        run = lambda a, b: recurrence_chunked(a, b, chunk_len)
-    else:
-        raise ContractError(f"unknown scan mode {mode!r}")
-    h = run(a_bar.data, bx.data)
-    if not np.isfinite(h).all():
-        t = _first_nonfinite_step(h)
-        raise NumericError(f"scan produced a non-finite state at timestep t={t}")
+    if chunk_len < 1:
+        raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
+    if x.ndim != 3 or x.shape[1] < 1:
+        raise DimensionError(f"scan needs x of shape (B, L, E) with L >= 1, got {x.shape}")
+    bsz, L, E = x.shape
+    if a.ndim != 2 or a.shape[0] != E:
+        raise DimensionError(f"scan: a {a.shape} does not match {E} channels")
+    N = a.shape[1]
+    if delta.shape != x.shape or b.shape != (bsz, L, N) or c.shape != (bsz, L, N):
+        raise DimensionError(f"scan: x {x.shape}, delta {delta.shape}, a {a.shape}, "
+                             f"b {b.shape}, c {c.shape} do not match")
+    for t in (delta, a, b, c):
+        T._check_same_dtype(x, t, "scan")
+    _check_delta(delta.data, "scan")
+    inputs = (x, delta, a, b, c)
+    xd, dd, ad, bd, cd = (t.data for t in inputs)
+    starts = range(0, L, chunk_len)
+    # state entering each chunk, kept only when backward can run
+    carries = np.empty((len(starts), bsz, E, N), xd.dtype) if T.needs_grad(inputs) else None
+    y = np.empty_like(xd)
+    carry = np.zeros((bsz, E, N), xd.dtype)
+    for i, s in enumerate(starts):
+        e = min(s + chunk_len, L)
+        if carries is not None:
+            carries[i] = carry
+        *_, h = _scan_chunk(xd[:, s:e], dd[:, s:e], ad, bd[:, s:e], carry)
+        with np.errstate(invalid="ignore"):
+            y_chunk = (h * cd[:, s:e, None, :]).sum(axis=-1)
+        # a non-finite state always makes its readout non-finite
+        if not np.isfinite(y_chunk).all() and not np.isfinite(h).all():
+            t = s + _first_nonfinite_step(h)
+            raise NumericError(f"scan produced a non-finite state at timestep t={t}")
+        y[:, s:e] = y_chunk
+        carry = h[:, -1]
 
-    def bwd(g, a_bar=a_bar, bx=bx):
-        g = np.asarray(g)
-        # lam_t = g_t + a_{t+1} lam_{t+1}: flip time, shift a by one, rescan
-        af = np.flip(a_bar.data, 1)
-        a_rev = np.concatenate([np.zeros_like(af[:, :1]), af[:, :-1]], axis=1)
-        lam = np.flip(run(a_rev, np.flip(g, 1)), 1)
-        gb = lam if bx.requires_grad else None
-        ga = None
-        if a_bar.requires_grad:
-            h_prev = np.concatenate([np.zeros_like(h[:, :1]), h[:, :-1]], axis=1)
-            ga = lam * h_prev
-        return ga, gb
+    def bwd(gy, xd=xd, dd=dd, ad=ad, bd=bd, cd=cd):
+        gy = np.asarray(gy)
+        gx, gd = np.empty_like(xd), np.empty_like(dd)
+        gb, gc = np.empty_like(bd), np.empty_like(cd)
+        ga = np.zeros_like(ad)
+        ones = np.ones(N, xd.dtype)                # sums over N run as matmuls
+        lam_in = np.zeros((bsz, E, N), xd.dtype)   # a_bar_{t+1} * lam_{t+1}
+        for i in reversed(range(len(starts))):
+            s = starts[i]
+            e = min(s + chunk_len, L)
+            g, xc, dc, bc = gy[:, s:e], xd[:, s:e], dd[:, s:e], bd[:, s:e]
+            z, a_bar, phi, h = _scan_chunk(xc, dc, ad, bc, carries[i])
+            gc[:, s:e] = np.matmul(g[:, :, None, :], h)[:, :, 0]
+            # lam_t = g_t c_t + a_bar_{t+1} lam_{t+1}, stepped backwards in time
+            lam = g[:, :, :, None] * cd[:, s:e, None, :]
+            for t in range(e - s - 1, -1, -1):
+                lam[:, t] += lam_in
+                lam_in = a_bar[:, t] * lam[:, t]
+            h[:, 1:] = h[:, :-1]                        # now h_{t-1}
+            h[:, 0] = carries[i]
+            # through bx = phi * b * x
+            lp = lam * phi
+            gx[:, s:e] = np.matmul(lp, bc[:, :, :, None])[..., 0]
+            gb[:, s:e] = np.matmul(xc[:, :, None, :], lp)[:, :, 0]
+            gphi = lam * bc[:, :, None, :]
+            gphi *= xc[:, :, :, None]
+            # through z = delta * a, into a_bar = exp(z) and into phi(a, delta),
+            # whose delta-partial is exp(z) = a_bar
+            gz = lam * h
+            gz *= a_bar
+            d4 = dc[:, :, :, None]
+            ga += (gz * d4 + gphi * _zoh_dphi_da(ad, d4, z, phi, a_bar)).sum(axis=(0, 1))
+            gd[:, s:e] = np.matmul(gz * ad + gphi * a_bar, ones)
+        return tuple(g if t.requires_grad else None
+                     for g, t in zip((gx, gd, ga, gb, gc), inputs))
 
-    return T._make(h, (a_bar, bx), bwd)
+    return T._make(y, inputs, bwd)
 
 
 # ---- selective parameterization ------------------------------------------------
@@ -197,6 +278,10 @@ class SsmParams:
     @property
     def state_dim(self) -> int:
         return self.a_log.shape[1]
+
+    def decay(self) -> Tensor:
+        """a = -exp(a_log), (E, N), strictly negative."""
+        return T.neg(T.exp(self.a_log))
 
     def tensors(self):
         out = {"a_log": self.a_log, "dt_w": self.dt_w, "dt_b": self.dt_b,
@@ -229,51 +314,49 @@ def init_ssm_params(channels: int, state_dim: int, rng: np.random.Generator,
 
 
 def selective_discrete(x: Tensor, params: SsmParams):
-    """Input-dependent discrete parameters for x of shape (B, L, E).
+    """Input-dependent parameters for x of shape (B, L, E), in factored form.
 
-    Returns (a_bar, b_bar, c_seq): a_bar/b_bar (B, L, E, N), c_seq (B, L, N).
+    Returns (delta, b_t, c_t): delta = softplus(x dt_w + dt_b) is (B, L, E),
+    b_t and c_t are (B, L, N). The scan forms the (B, L, E, N) products.
     """
     if x.ndim != 3:
         raise DimensionError(f"selective scan expects (B, L, E), got {x.shape}")
-    bsz, L, E = x.shape
-    if E != params.channels:
-        raise DimensionError(f"x has {E} channels, params expect {params.channels}")
-    N = params.state_dim
-    delta = T.softplus(T.matmul(x, params.dt_w) + params.dt_b)  # (B, L, E)
-    bt = T.matmul(x, params.b_w)   # (B, L, N)
-    ct = T.matmul(x, params.c_w)   # (B, L, N)
-    a = T.neg(T.exp(params.a_log))  # (E, N), strictly negative
-    a4 = T.reshape(a, (1, 1, E, N))
-    d4 = T.reshape(delta, (bsz, L, E, 1))
-    b4 = T.reshape(bt, (bsz, L, 1, N))
-    a_bar, b_bar = discretize_zoh(a4, b4, d4)
-    return a_bar, b_bar, ct
+    if x.shape[2] != params.channels:
+        raise DimensionError(f"x has {x.shape[2]} channels, params expect {params.channels}")
+    delta = T.softplus(T.matmul(x, params.dt_w) + params.dt_b)
+    return delta, T.matmul(x, params.b_w), T.matmul(x, params.c_w)
 
 
-def scan_with_params(x: Tensor, a_bar: Tensor, b_bar: Tensor, c_seq: Tensor,
-                     skip_d: Tensor | None = None, mode: str = "chunked",
-                     chunk_len: int = 64) -> Tensor:
-    """Run the recurrence with explicit (frozen) discrete parameters.
+def scan_with_params(x: Tensor, delta: Tensor, a: Tensor, b_t: Tensor, c_t: Tensor,
+                     skip_d: Tensor | None = None, chunk_len: int = 64) -> Tensor:
+    """Run the scan with explicit (frozen) parameters, plus skip_d * x.
 
     y is linear in x here, which the selective path deliberately is not.
     """
-    bsz, L, E = x.shape
-    bx = b_bar * T.reshape(x, (bsz, L, E, 1))
-    h = scan_recurrence(a_bar, bx, mode=mode, chunk_len=chunk_len)
-    y = T.sum_(h * T.reshape(c_seq, (bsz, L, 1, c_seq.shape[-1])), axis=-1)
+    y = scan_recurrence(x, delta, a, b_t, c_t, chunk_len=chunk_len)
     if skip_d is not None:
         y = y + x * skip_d
     return y
 
 
-def scan_sequential(x: Tensor, params: SsmParams) -> Tensor:
-    """Reference selective scan, stepping the recurrence one t at a time."""
-    a_bar, b_bar, ct = selective_discrete(x, params)
-    return scan_with_params(x, a_bar, b_bar, ct, params.skip_d, mode="sequential")
-
-
 def scan_chunked(x: Tensor, params: SsmParams, chunk_len: int = 64) -> Tensor:
-    """Chunk-parallel selective scan; equivalent to scan_sequential."""
-    a_bar, b_bar, ct = selective_discrete(x, params)
-    return scan_with_params(x, a_bar, b_bar, ct, params.skip_d,
-                            mode="chunked", chunk_len=chunk_len)
+    """The selective scan of the model: projections, then the fused op."""
+    delta, b_t, c_t = selective_discrete(x, params)
+    return scan_with_params(x, delta, params.decay(), b_t, c_t, params.skip_d, chunk_len)
+
+
+def scan_sequential(x: Tensor, params: SsmParams) -> Tensor:
+    """Reference selective scan from the oracles: ZOH via `discretize_zoh`,
+    then `recurrence_sequential` one step at a time. Forward only: the result
+    is a constant tensor."""
+    with T.no_grad():
+        delta, b_t, c_t = selective_discrete(x, params)
+        bsz, L, E = x.shape
+        a_bar, b_bar = discretize_zoh(T.reshape(params.decay(), (1, 1, E, -1)),
+                                      T.reshape(b_t, (bsz, L, 1, -1)),
+                                      T.reshape(delta, (bsz, L, E, 1)))
+        h = recurrence_sequential(a_bar.data, b_bar.data * x.data[..., None])
+        y = (h * c_t.data[:, :, None, :]).sum(axis=-1)
+        if params.skip_d is not None:
+            y = y + x.data * params.skip_d.data
+    return Tensor(y)

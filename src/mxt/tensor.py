@@ -95,6 +95,10 @@ class Tape:
 
     def __exit__(self, *exc) -> None:
         _tape_stack.pop()
+        # break the Node <-> Tensor cycles so refcounting frees the recorded
+        # activations as soon as nothing else holds them
+        for node in self.nodes:
+            node.out._node = None
 
 
 _tape_stack: list[Tape] = [Tape()]
@@ -298,9 +302,20 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
         )
 
 
+def needs_grad(inputs: tuple) -> bool:
+    """Whether an op on these inputs gets recorded for backward."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
 def _make(out_data: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
-    """Build the output tensor and record a node if grad flow is live."""
-    rg = _grad_enabled and any(t.requires_grad for t in inputs)
+    """Build the output tensor and record a node if grad flow is live.
+
+    A ``bwd`` closure must use the arrays the forward pass saw, bound at
+    record time, never ``t.data`` read later: an optimizer step between
+    forward and backward rebinds parameter data. (Writing into a recorded
+    array in place would still change the gradient; nothing here does.)
+    """
+    rg = needs_grad(inputs)
     out = Tensor(out_data, requires_grad=rg)
     if rg:
         node = Node(out, inputs, bwd)
@@ -336,9 +351,9 @@ def _binary(a, b, op: str, fwd, da, db) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from e
 
-    def bwd(g, a=a, b=b):
-        ga = _unbroadcast(da(g, a.data, b.data), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(db(g, a.data, b.data), b.shape) if b.requires_grad else None
+    def bwd(g, ad=a.data, bd=b.data):
+        ga = _unbroadcast(da(g, ad, bd), a.shape) if a.requires_grad else None
+        gb = _unbroadcast(db(g, ad, bd), b.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), bwd)
@@ -371,8 +386,8 @@ def _unary(x: Tensor, fwd, dfd) -> Tensor:
     """dfd(g, x_data, out_data) -> grad wrt x."""
     out = fwd(x.data)
 
-    def bwd(g, x=x):
-        return (dfd(g, x.data, out),)
+    def bwd(g, xd=x.data):
+        return (dfd(g, xd, out),)
 
     return _make(out, (x,), bwd)
 
@@ -479,12 +494,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"matmul batch dims do not broadcast: {a.shape} @ {b.shape}") from e
 
-    def bwd(g, a=a, b=b):
+    def bwd(g, ad=a.data, bd=b.data):
         ga = gb = None
         if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
         if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
         return ga, gb
 
     return _make(out, (a, b), bwd)
@@ -542,8 +557,8 @@ def max_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     kept = tuple(i for i in range(x.ndim) if i not in axes)
     perm = kept + tuple(sorted(axes))
 
-    def bwd(g, x=x):
-        moved = x.data.transpose(perm)
+    def bwd(g, xd=x.data):
+        moved = xd.transpose(perm)
         outer = moved.shape[: len(kept)]
         flat = moved.reshape(outer + (-1,))
         hit = np.argmax(flat, axis=-1)
@@ -621,8 +636,19 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(out, tensors, bwd)
 
 
+def _is_basic_index(idx) -> bool:
+    items = idx if isinstance(idx, tuple) else (idx,)
+    return all(i is None or i is Ellipsis or isinstance(i, slice)
+               or (isinstance(i, (int, np.integer)) and not isinstance(i, bool))
+               for i in items)
+
+
 def index(x: Tensor, idx) -> Tensor:
-    """Basic indexing (ints, slices, tuples thereof); differentiable."""
+    """Basic indexing (ints, slices, None, Ellipsis, tuples thereof);
+    differentiable. Integer-array and boolean indices are rejected: their
+    gradient would have to accumulate repeated positions."""
+    if not _is_basic_index(idx):
+        raise ContractError(f"index: only basic indices are differentiable, got {idx!r}")
     out = x.data[idx]
     out = _contig(out)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mxt.blocks as B
+import mxt.ssm as S
 import mxt.tensor as T
 from mxt.gradcheck import check_module_gradients
 from mxt.tensor import Tensor
@@ -208,13 +209,27 @@ def test_mamba_block_pe_toggle():
         assert np.abs(on(x).data - off(x).data).max() > 1e-9
 
 
-def test_mamba_block_scan_modes_agree():
+def test_mamba_block_scan_modes_agree(monkeypatch):
+    # the block's fused scan against the sequential reference scan
     with f64():
         mb = B.MambaBlock(3, rng(25), state_dim=2, chunk_len=4)
         x = Tensor(rng(26).standard_normal((2, 3, 4, 4)), dtype=np.float64)
-        yc = mb(x, mode="chunked").data
-        ys = mb(x, mode="sequential").data
+        yc = mb(x).data
+        monkeypatch.setattr(B, "scan_chunked", lambda t, p, chunk_len: S.scan_sequential(t, p))
+        ys = mb(x).data
     np.testing.assert_allclose(yc, ys, rtol=1e-11, atol=1e-13)
+
+
+def test_mamba_block_tape_holds_no_state_sized_output():
+    # the fused scan keeps its (B, L, E, N) states inside one chunk
+    bsz, c, hw, n = 1, 3, 4, 5
+    mb = B.MambaBlock(c, rng(25), state_dim=n, expand=2, chunk_len=4)
+    x = Tensor(rng(26).standard_normal((bsz, c, hw, hw)).astype(np.float32), requires_grad=True)
+    with T.Tape() as tape:
+        mb(x)
+    state_size = bsz * hw * hw * (2 * c) * n
+    assert len(tape) > 0
+    assert all(node.out.size != state_size for node in tape.nodes)
 
 
 def test_mamba_block_gradients():

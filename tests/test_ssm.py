@@ -187,28 +187,97 @@ def test_chunked_equals_sequential_property(L, chunk, seed):
     )
 
 
+def scan_inputs(B=1, L=7, E=2, N=3, seed=13):
+    """float64 (x, delta, a, b, c) for the fused op; delta well inside > 0."""
+    r = rng(seed)
+    return [r.standard_normal((B, L, E)), r.uniform(0.05, 0.6, (B, L, E)),
+            -r.uniform(0.5, 4.0, (E, N)), r.standard_normal((B, L, N)),
+            r.standard_normal((B, L, N))]
+
+
+def f64(arr):
+    return Tensor(arr, dtype=np.float64)
+
+
 def test_scan_recurrence_gradients_vs_fd():
-    a = rng(13).uniform(0.1, 0.95, (1, 6, 2))
-    b = rng(14).standard_normal((1, 6, 2))
-    w = Tensor(rng(15).standard_normal((1, 6, 2)), dtype=np.float64)
-    for mode in ("sequential", "chunked"):
-        worst, _ = check_function(
-            lambda at, bt: T.sum_(S.scan_recurrence(at, bt, mode=mode, chunk_len=4) * w), [a, b]
-        )
-        assert worst < 1e-6, f"{mode}: {worst:.3e}"
+    # L = 7: chunk 3 leaves a partial last chunk, chunk 1 is the plain
+    # sequential update, chunk 7 runs the whole sequence as one chunk
+    arrays = scan_inputs()
+    w = f64(rng(15).standard_normal((1, 7, 2)))
+    for chunk in (1, 3, 7):
+        worst, errs = check_function(
+            lambda *ts: T.sum_(S.scan_recurrence(*ts, chunk_len=chunk) * w), arrays)
+        assert worst < 1e-6, f"chunk {chunk}: {worst:.3e} {errs}"
+
+
+def test_scan_float32_bit_equal_to_reference_at_paper_level0():
+    # paper layout, level 0 of a 64x64 image: E = 2*16 channels, N = 8, L = 64^2
+    p = S.init_ssm_params(32, 8, rng(30), dtype=np.float32)
+    x = Tensor(rng(31).standard_normal((1, 64 * 64, 32)).astype(np.float32))
+    with T.no_grad():
+        delta, bt, ct = S.selective_discrete(x, p)
+        E, N = p.a_log.shape
+        a_bar, b_bar = S.discretize_zoh(T.reshape(p.decay(), (1, 1, E, N)),
+                                        T.reshape(bt, (1, 64 * 64, 1, N)),
+                                        T.reshape(delta, (1, 64 * 64, E, 1)))
+        h = S.recurrence_chunked(a_bar.data, b_bar.data * x.data[..., None], 64)
+        ref = (h * ct.data[:, :, None, :]).sum(axis=-1)
+        got = S.scan_chunked(x, p, chunk_len=64).data
+    assert got.dtype == np.float32
+    assert np.array_equal(got, ref)
 
 
 def test_scan_nonfinite_reports_timestep():
-    a = np.full((1, 8, 2), 0.5)
-    b = np.zeros((1, 8, 2))
-    b[0, 3, 1] = np.inf
+    arrays = scan_inputs(L=8)
+    arrays[0][0, 3, 1] = np.inf
     with pytest.raises(NumericError, match="t=3"):
-        S.scan_recurrence(Tensor(a, dtype=np.float64), Tensor(b, dtype=np.float64))
+        S.scan_recurrence(*(f64(v) for v in arrays))
+
+
+def test_scan_nonfinite_in_later_chunk_reports_global_timestep():
+    arrays = scan_inputs(L=20)
+    arrays[0][0, 13, 0] = np.nan
+    with pytest.raises(NumericError, match=r"t=13\b"):
+        S.scan_recurrence(*(f64(v) for v in arrays), chunk_len=4)
 
 
 def test_scan_shape_mismatch():
+    x, delta, a, b, c = (f64(v) for v in scan_inputs(L=4))
     with pytest.raises(DimensionError):
-        S.scan_recurrence(Tensor(np.ones((1, 4, 2))), Tensor(np.ones((1, 5, 2))))
+        S.scan_recurrence(x, f64(np.ones((1, 5, 2))), a, b, c)
+    with pytest.raises(DimensionError):
+        S.scan_recurrence(x, delta, a, f64(np.ones((1, 4, 2))), c)
+    with pytest.raises(DimensionError):
+        S.scan_recurrence(x, delta, f64(np.ones((3, 3))), b, c)
+
+
+def test_scan_rejects_negative_delta_and_bad_chunk():
+    arrays = scan_inputs(L=4)
+    with pytest.raises(ContractError):
+        S.scan_recurrence(*(f64(v) for v in arrays), chunk_len=0)
+    arrays[1][0, 2, 0] = -1e-3
+    with pytest.raises(ContractError):
+        S.scan_recurrence(*(f64(v) for v in arrays))
+
+
+def test_scan_backward_uses_forward_time_values():
+    # rebinding .data between forward and backward (as an optimizer step
+    # does) must not change the gradient of the value already computed
+    arrays = scan_inputs(L=6)
+    w = f64(rng(16).standard_normal((1, 6, 2)))
+
+    def grads(rebind):
+        ts = [Tensor(v, requires_grad=True, dtype=np.float64) for v in arrays]
+        with T.Tape():
+            y = T.sum_(S.scan_recurrence(*ts, chunk_len=4) * w)
+            if rebind:
+                for t in ts:
+                    t.data = t.data * 0.5
+            y.backward()
+        return [t.grad for t in ts]
+
+    for clean, moved in zip(grads(False), grads(True)):
+        np.testing.assert_array_equal(clean, moved)
 
 
 # ---- selective scan end to end -----------------------------------------------------
@@ -241,9 +310,10 @@ def test_selective_scan_is_causal():
 def test_frozen_params_scan_is_linear():
     p = make_params(seed=3)
     x = Tensor(rng(18).standard_normal((2, 12, 3)), dtype=np.float64)
-    a_bar, b_bar, ct = S.selective_discrete(x, p)
-    y1 = S.scan_with_params(x, a_bar, b_bar, ct).data
-    y2 = S.scan_with_params(x * 2.5, a_bar, b_bar, ct).data
+    delta, bt, ct = S.selective_discrete(x, p)
+    assert delta.shape == (2, 12, 3) and bt.shape == ct.shape == (2, 12, 2)
+    y1 = S.scan_with_params(x, delta, p.decay(), bt, ct, chunk_len=5).data
+    y2 = S.scan_with_params(x * 2.5, delta, p.decay(), bt, ct, chunk_len=5).data
     np.testing.assert_allclose(y2, 2.5 * y1, rtol=1e-11, atol=1e-12)
 
 

@@ -351,3 +351,77 @@ def test_fd_oracle_self_consistent():
     x = rng(34).standard_normal((2, 2))
     (g,) = fd_gradients(f, [x.copy()])
     assert relative_error(2 * x, g) < 1e-8
+
+
+# ---- forward-time values, index contract, tape lifetime ----------------------
+
+
+def test_matmul_backward_uses_forward_time_weights():
+    # an optimizer step rebinds .data between forward and backward; the
+    # gradient must still be that of the product the forward pass computed
+    v = Tensor(np.array([[1.0]]), requires_grad=True, dtype=np.float64)
+    w = Tensor(np.array([[2.0]]), requires_grad=True, dtype=np.float64)
+    with Tape():
+        y = T.sum_(v @ w)
+        w.data = w.data * 10.0
+        y.backward()
+    np.testing.assert_array_equal(v.grad, [[2.0]])
+
+
+@pytest.mark.parametrize("op", [
+    lambda v, w: v * w,                  # _binary
+    lambda v, w: T.log(w) * v,           # _unary reads its input
+    lambda v, w: T.max_(w * v, axis=0),  # max routes by the input
+])
+def test_backward_uses_forward_time_values(op):
+    def grads(rebind):
+        v = Tensor(np.array([1.5, -0.5]), requires_grad=True, dtype=np.float64)
+        w = Tensor(np.array([2.0, 3.0]), requires_grad=True, dtype=np.float64)
+        with Tape():
+            y = T.sum_(op(v, w))
+            if rebind:
+                w.data = w.data[::-1] * 10.0
+            y.backward()
+        return v.grad, w.grad
+
+    for clean, moved in zip(grads(False), grads(True)):
+        np.testing.assert_array_equal(clean, moved)
+
+
+@pytest.mark.parametrize("idx", [np.array([0, 0, 1]), [0, 0, 1], np.array([True, False, True]),
+                                 (slice(None), np.array([0, 0]))])
+def test_index_rejects_non_basic_indices(idx):
+    # repeated integer-array indices would need an accumulating scatter
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True, dtype=np.float64)
+    with pytest.raises(ContractError):
+        x[idx]
+
+
+def test_index_basic_forms_still_differentiate():
+    x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True, dtype=np.float64)
+    with Tape():
+        y = T.sum_(x[1]) + T.sum_(x[np.int64(2), 1:3]) + T.sum_(x[..., None][:, 0])
+        y.backward()
+    expected = np.zeros((3, 4))
+    expected[1] += 1
+    expected[2, 1:3] += 1
+    expected[:, 0] += 1
+    np.testing.assert_array_equal(x.grad, expected)
+
+
+def test_tape_exit_frees_recorded_activations():
+    import gc
+    import weakref
+
+    x = Tensor(np.ones(1000), requires_grad=True, dtype=np.float64)
+    gc.disable()
+    try:
+        with Tape():
+            loss = T.sum_(T.exp(x) * 2.0)
+            ref = weakref.ref(T.active_tape().nodes[0].out.data)
+            loss.backward()
+        # only refcounting runs here: the node <-> tensor cycles must be gone
+        assert ref() is None
+    finally:
+        gc.enable()
+    np.testing.assert_allclose(x.grad, 2.0 * np.e)
