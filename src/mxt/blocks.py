@@ -1,8 +1,10 @@
 """Network building blocks: layers plus the three sub-blocks of a hybrid module.
 
 Spatial tensors are (B, C, H, W); sequence tensors are (B, L, C) with L = H*W
-in raster (row-major) order. Convolutions are built from pad / strided-slice /
-matmul tape ops, so they need no backward rules of their own.
+in raster (row-major) order. Each layer (Conv2d, DepthwiseConv2d,
+CausalConv1d, LayerNorm, ChannelLayerNorm) is one call to a fused tensor op
+with a hand-written backward, so it records one tape node that keeps only its
+inputs; the sub-blocks compose those layers with generic tape ops.
 """
 
 from __future__ import annotations
@@ -71,39 +73,35 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    """Normalize one axis (the last by default) to zero mean / unit variance,
+    then scale+shift."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, dtype=None):
+    def __init__(self, dim: int, eps: float = 1e-5, axis: int = -1, dtype=None):
         dtype = dtype or T.get_default_dtype()
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True, dtype=dtype)
         self._eps = eps
+        self._axis = axis
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = T.mean(x, axis=-1, keepdims=True)
-        centered = x - mu
-        var = T.mean(centered * centered, axis=-1, keepdims=True)
-        xn = centered / T.sqrt(var + self._eps)
-        return xn * self.gamma + self.beta
+        return T.layer_norm(x, self.gamma, self.beta, axis=self._axis, eps=self._eps)
 
 
 class ChannelLayerNorm(Module):
     """LayerNorm over the channel axis of (B, C, H, W)."""
 
     def __init__(self, channels: int, eps: float = 1e-5, dtype=None):
-        self.ln = LayerNorm(channels, eps=eps, dtype=dtype)
+        self.ln = LayerNorm(channels, eps=eps, axis=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.transpose(x, (0, 2, 3, 1))
-        y = self.ln(y)
-        return T.transpose(y, (0, 3, 1, 2))
+        return self.ln(x)
 
 
 class Conv2d(Module):
-    """k x k convolution via im2col: gather the k^2 taps, one matmul.
+    """k x k convolution, one fused tape op (``tensor.conv2d``).
 
     Weight layout (k*k*cin, cout); tap (dy, dx) occupies rows
-    [(dy*k + dx)*cin, ...+cin), matching the concat order in forward.
+    [(dy*k + dx)*cin, ...+cin).
     """
 
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
@@ -114,36 +112,13 @@ class Conv2d(Module):
         self.w = _uniform(rng, (fan_in, cout), kk, dtype)
         self.b = _uniform(rng, (cout,), kk, dtype) if bias else None
         self._k, self._stride, self._pad = k, stride, pad
-        self._cin, self._cout = cin, cout
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise DimensionError(f"conv expects (B, C, H, W), got {x.shape}")
-        bsz, c, h, w = x.shape
-        if c != self._cin:
-            raise DimensionError(f"conv expects {self._cin} channels, got {c}")
-        k, s, p = self._k, self._stride, self._pad
-        if p:
-            x = T.pad(x, [(0, 0), (0, 0), (p, p), (p, p)])
-        hp, wp = h + 2 * p, w + 2 * p
-        oh = (hp - k) // s + 1
-        ow = (wp - k) // s + 1
-        taps = []
-        for dy in range(k):
-            for dx in range(k):
-                taps.append(x[:, :, dy : dy + oh * s : s, dx : dx + ow * s : s])
-        col = T.concat(taps, axis=1)                      # (B, k*k*cin, oh, ow)
-        col = T.transpose(col, (0, 2, 3, 1))              # (B, oh, ow, k*k*cin)
-        col = T.reshape(col, (bsz, oh * ow, k * k * self._cin))
-        y = T.matmul(col, self.w)
-        if self.b is not None:
-            y = y + self.b
-        y = T.reshape(y, (bsz, oh, ow, self._cout))
-        return T.transpose(y, (0, 3, 1, 2))
+        return T.conv2d(x, self.w, self.b, self._k, self._stride, self._pad)
 
 
 class DepthwiseConv2d(Module):
-    """Per-channel k x k convolution (stride 1): nine shifted multiply-adds."""
+    """Per-channel k x k convolution (stride 1); weight layout (k*k, C)."""
 
     def __init__(self, channels: int, rng: np.random.Generator, k: int = 3,
                  pad: int = 1, bias: bool = True, dtype=None):
@@ -152,25 +127,9 @@ class DepthwiseConv2d(Module):
         self.w = _uniform(rng, (k * k, channels), kk, dtype)
         self.b = _uniform(rng, (channels,), kk, dtype) if bias else None
         self._k, self._pad = k, pad
-        self._channels = channels
 
     def forward(self, x: Tensor) -> Tensor:
-        bsz, c, h, w = x.shape
-        if c != self._channels:
-            raise DimensionError(f"depthwise conv expects {self._channels} channels, got {c}")
-        k, p = self._k, self._pad
-        xp = T.pad(x, [(0, 0), (0, 0), (p, p), (p, p)]) if p else x
-        oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
-        y = None
-        for dy in range(k):
-            for dx in range(k):
-                tap = self.w[dy * k + dx]                     # (C,)
-                tap = T.reshape(tap, (1, c, 1, 1))
-                term = xp[:, :, dy : dy + oh, dx : dx + ow] * tap
-                y = term if y is None else y + term
-        if self.b is not None:
-            y = y + T.reshape(self.b, (1, c, 1, 1))
-        return y
+        return T.depthwise_conv2d(x, self.w, self.b, self._k, self._pad)
 
 
 class CausalConv1d(Module):
@@ -181,17 +140,9 @@ class CausalConv1d(Module):
         kk = 1.0 / np.sqrt(k)
         self.w = _uniform(rng, (k, channels), kk, dtype)
         self.b = _uniform(rng, (channels,), kk, dtype)
-        self._k = k
 
     def forward(self, x: Tensor) -> Tensor:
-        bsz, L, c = x.shape
-        k = self._k
-        xp = T.pad(x, [(0, 0), (k - 1, 0), (0, 0)])
-        y = None
-        for j in range(k):
-            term = xp[:, j : j + L, :] * self.w[j]
-            y = term if y is None else y + term
-        return y + self.b
+        return T.causal_conv1d(x, self.w, self.b)
 
 
 def positional_encoding(length: int, channels: int, dtype) -> np.ndarray:

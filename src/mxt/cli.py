@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import statistics
 import sys
 import time
 
@@ -241,36 +240,42 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def bench_sequential_scan(length: int, channels: int = 8, state_dim: int = 8,
-                          repeats: int = 9, seed: int = 0) -> float:
-    """Median wall-time of the raw sequential recurrence kernel at one length."""
-    from .ssm import recurrence_sequential
-
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(0.5, 0.99, (1, length, channels, state_dim))
-    b = rng.standard_normal((1, length, channels, state_dim))
-    recurrence_sequential(a, b)  # warm-up
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        recurrence_sequential(a, b)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
-
-
 def scan_time_ratio(length: int, channels: int = 8, state_dim: int = 8,
                     repeats: int = 9, seed: int = 0) -> tuple:
-    t1 = bench_sequential_scan(length, channels, state_dim, repeats, seed)
-    t2 = bench_sequential_scan(2 * length, channels, state_dim, repeats, seed)
-    return t1, t2, t2 / t1
+    """Time the raw sequential recurrence at L and 2L; (t_L, t_2L, t_2L / t_L).
+
+    Host speed drifts over minutes, so the two lengths are timed back to back
+    in ``repeats`` interleaved pairs, and the pair with the median ratio
+    (the lower one for an even count) is returned: drift then falls within
+    a pair instead of between two separately taken medians.
+    """
+    from .ssm import recurrence_sequential
+
+    if repeats < 1:
+        raise ContractError(f"scan-bench needs at least one repeat, got {repeats}")
+    rng = np.random.default_rng(seed)
+    inputs = [(rng.uniform(0.5, 0.99, (1, n, channels, state_dim)),
+               rng.standard_normal((1, n, channels, state_dim)))
+              for n in (length, 2 * length)]
+    for a, b in inputs:
+        recurrence_sequential(a, b)  # warm-up
+    pairs = []
+    for _ in range(repeats):
+        times = []
+        for a, b in inputs:
+            t0 = time.perf_counter()
+            recurrence_sequential(a, b)
+            times.append(time.perf_counter() - t0)
+        pairs.append((times[0], times[1], times[1] / times[0]))
+    return sorted(pairs, key=lambda p: p[2])[(repeats - 1) // 2]
 
 
 def cmd_scan_bench(args) -> int:
     t1, t2, ratio = scan_time_ratio(args.length, args.channels, args.state_dim,
                                     args.repeats, args.seed or 0)
-    print(f"L={args.length} median_s={t1:.6f}")
-    print(f"L={2 * args.length} median_s={t2:.6f}")
-    print(f"ratio={ratio:.3f}")
+    print(f"L={args.length} s={t1:.6f}")
+    print(f"L={2 * args.length} s={t2:.6f}")
+    print(f"ratio={ratio:.3f} (median of {args.repeats} interleaved pairs)")
     return 0
 
 

@@ -132,6 +132,9 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, seed: int = 1
 
 STANDARD_BLOCKS = (
     "layer_norm",
+    "conv2d",
+    "depthwise_conv2d",
+    "causal_conv1d",
     "srsa",
     "mamba_block",
     "gdfn",
@@ -150,7 +153,16 @@ STANDARD_BLOCKS = (
 
 def run_standard_check(name: str, h: float = 1e-5) -> dict:
     """Run one named check; returns {slot: rel_err, ..., "worst": float}."""
-    from .blocks import ChannelLayerNorm, Gdfn, MambaBlock, Module, Srsa
+    from .blocks import (
+        CausalConv1d,
+        ChannelLayerNorm,
+        Conv2d,
+        DepthwiseConv2d,
+        Gdfn,
+        MambaBlock,
+        Module,
+        Srsa,
+    )
     from .losses import (
         FeatureExtractor,
         PatchDiscriminator,
@@ -173,6 +185,13 @@ def run_standard_check(name: str, h: float = 1e-5) -> dict:
 
     if name == "layer_norm":
         return check_module_gradients(ChannelLayerNorm(4, dtype=f64), x4, h=h)
+    if name == "conv2d":
+        return check_module_gradients(Conv2d(4, 3, 3, rng, stride=2, pad=1, dtype=f64), x4, h=h)
+    if name == "depthwise_conv2d":
+        return check_module_gradients(DepthwiseConv2d(4, rng, dtype=f64), x4, h=h)
+    if name == "causal_conv1d":
+        return check_module_gradients(CausalConv1d(4, rng, k=4, dtype=f64),
+                                      rng.standard_normal((1, 6, 4)), h=h)
     if name == "srsa":
         mod = Srsa(4, rng, pooled_spatial=2, heads=2, dtype=f64)
         return check_module_gradients(mod, x4, h=h)

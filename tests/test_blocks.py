@@ -91,6 +91,26 @@ def test_depthwise_matches_oracle():
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
+def test_depthwise_plane_blocks_do_not_change_values(monkeypatch):
+    # the default block holds all 6 planes; a 1-byte block forces one per block
+    r = rng(45)
+    x, w, b = r.standard_normal((2, 3, 5, 6)), r.standard_normal((9, 3)), r.standard_normal(3)
+    weights = Tensor(r.standard_normal((2, 3, 5, 6)), dtype=np.float64)
+
+    def run():
+        ts = [Tensor(a, requires_grad=True, dtype=np.float64) for a in (x, w, b)]
+        with T.Tape():
+            y = T.depthwise_conv2d(*ts, 3, 1)
+            T.sum_(y * weights).backward()
+        return [y.data] + [t.grad for t in ts]
+
+    whole = run()
+    monkeypatch.setattr(T, "_BLOCK_BYTES", 1)
+    for a, c in zip(whole, run()):
+        np.testing.assert_array_equal(a, c)
+    np.testing.assert_allclose(whole[0], depthwise_oracle(x, w, b, 3, 1), rtol=1e-10, atol=1e-12)
+
+
 def test_causal_conv1d_is_causal_and_correct():
     with f64():
         conv = B.CausalConv1d(3, rng(7), k=4)
@@ -282,6 +302,34 @@ def test_layernorm_gradients():
         ln = B.LayerNorm(3)
         report = check_module_gradients(ln, rng(37).standard_normal((2, 5, 3)))
     assert report["worst"] < 1e-5, report
+
+
+# ---- tape budget ------------------------------------------------------------------------
+
+
+def _recorded_nodes(module, shape) -> int:
+    x = Tensor(rng(41).standard_normal(shape).astype(np.float32), requires_grad=True)
+    with T.Tape() as tape:
+        module(x)
+    return len(tape)
+
+
+@pytest.mark.parametrize("make,shape", [
+    (lambda r: B.Conv2d(3, 4, 3, r, stride=2, pad=1), (2, 3, 6, 6)),
+    (lambda r: B.Conv2d(3, 4, 1, r), (2, 3, 6, 6)),
+    (lambda r: B.DepthwiseConv2d(3, r), (2, 3, 6, 6)),
+    (lambda r: B.CausalConv1d(3, r), (2, 9, 3)),
+    (lambda r: B.LayerNorm(3), (2, 9, 3)),
+    (lambda r: B.ChannelLayerNorm(3), (2, 3, 6, 6)),
+])
+def test_each_layer_records_one_node(make, shape):
+    assert _recorded_nodes(make(rng(42)), shape) == 1
+
+
+def test_sub_block_tape_budget():
+    # pinned at the fused layers: norm, convs and gelu are one node each
+    assert _recorded_nodes(B.Gdfn(8, rng(43)), (1, 8, 8, 8)) <= 8
+    assert _recorded_nodes(B.Srsa(8, rng(44)), (1, 8, 8, 8)) <= 30
 
 
 # ---- module traversal ------------------------------------------------------------------

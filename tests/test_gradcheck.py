@@ -12,7 +12,8 @@ from mxt.gradcheck import (
 
 
 def test_registry_names_cover_required_surface():
-    need = {"layer_norm", "srsa", "mamba_block", "gdfn", "cbfn", "ssm_scan"}
+    need = {"layer_norm", "conv2d", "depthwise_conv2d", "causal_conv1d",
+            "srsa", "mamba_block", "gdfn", "cbfn", "ssm_scan"}
     assert need <= set(STANDARD_BLOCKS)
     assert any(n.startswith("loss_") for n in STANDARD_BLOCKS)
     # every term of the training objective has a named check

@@ -425,3 +425,111 @@ def test_tape_exit_frees_recorded_activations():
     finally:
         gc.enable()
     np.testing.assert_allclose(x.grad, 2.0 * np.e)
+
+
+def test_backward_after_tape_exit_raises():
+    # the root's node was cut when its tape closed; it must not pass for a leaf
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    with Tape():
+        y = T.sum_(x * 2.0)
+    with pytest.raises(ContractError, match="exited"):
+        y.backward()
+    assert x.grad is None and y.grad is None
+
+
+def test_softplus_float32_tails_are_finite_and_quiet():
+    import warnings
+
+    x = Tensor(np.array([-100.0, -80.0, 80.0, 100.0], dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = T.softplus(x).data
+    assert y.dtype == np.float32 and np.isfinite(y).all()
+    # exp(-100) is subnormal in float32, hence the absolute floor
+    np.testing.assert_allclose(y, [np.exp(-100.0), np.exp(-80.0), 80.0, 100.0],
+                               rtol=1e-6, atol=1e-44)
+
+
+# ---- fused layer ops: FD in every input on random shapes ----------------------------
+
+
+def _fd_check_fused(op, arrays, out_shape, seed):
+    w = Tensor(rng(seed).standard_normal(out_shape), dtype=np.float64)
+    check(lambda *ts: T.sum_(op(*ts) * w), *arrays)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3), st.integers(3, 5),
+       st.integers(3, 5), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
+       st.sampled_from([0, 1]), st.booleans(), st.integers(0, 2**16))
+def test_conv2d_gradients_property(bsz, cin, cout, h, w, k, stride, pad, bias, seed):
+    r = rng(seed)
+    arrays = [r.standard_normal((bsz, cin, h, w)), r.standard_normal((k * k * cin, cout))]
+    if bias:
+        arrays.append(r.standard_normal(cout))
+    oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    _fd_check_fused(lambda x, wt, *b: T.conv2d(x, wt, b[0] if b else None, k, stride, pad),
+                    arrays, (bsz, cout, oh, ow), seed + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(3, 5), st.integers(3, 5),
+       st.sampled_from([1, 3]), st.sampled_from([0, 1]), st.booleans(), st.integers(0, 2**16))
+def test_depthwise_conv2d_gradients_property(bsz, c, h, w, k, pad, bias, seed):
+    r = rng(seed)
+    arrays = [r.standard_normal((bsz, c, h, w)), r.standard_normal((k * k, c))]
+    if bias:
+        arrays.append(r.standard_normal(c))
+    out = (bsz, c, h + 2 * pad - k + 1, w + 2 * pad - k + 1)
+    _fd_check_fused(lambda x, wt, *b: T.depthwise_conv2d(x, wt, b[0] if b else None, k, pad),
+                    arrays, out, seed + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 7), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 2**16))
+def test_causal_conv1d_gradients_property(bsz, length, c, k, seed):
+    r = rng(seed)
+    arrays = [r.standard_normal((bsz, length, c)), r.standard_normal((k, c)),
+              r.standard_normal(c)]
+    _fd_check_fused(T.causal_conv1d, arrays, (bsz, length, c), seed + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+       st.sampled_from([1, -1]), st.integers(0, 2**16))
+def test_layer_norm_gradients_property(bsz, c, h, w, axis, seed):
+    r = rng(seed)
+    shape = (bsz, c, h, w) if axis == 1 else (bsz, h * w, c)
+    arrays = [r.standard_normal(shape) * 2.0 + 1.0, r.standard_normal(c), r.standard_normal(c)]
+    _fd_check_fused(lambda x, g, b: T.layer_norm(x, g, b, axis=axis), arrays, shape, seed + 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**16))
+def test_gelu_gradients_property(n, m, seed):
+    x = rng(seed).uniform(-4, 4, (n, m))
+    _fd_check_fused(T.gelu, [x], (n, m), seed + 1)
+
+
+def test_fused_ops_record_one_node_and_keep_float32():
+    r = rng(40)
+
+    def leaf(*shape):
+        return Tensor(r.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    x4, x3 = leaf(2, 3, 5, 5), leaf(2, 6, 3)
+    cases = [
+        (T.conv2d, (x4, leaf(27, 4), leaf(4)), (3, 2, 1)),
+        (T.depthwise_conv2d, (x4, leaf(9, 3), leaf(3)), (3, 1)),
+        (T.causal_conv1d, (x3, leaf(4, 3), leaf(3)), ()),
+        (T.layer_norm, (x4, leaf(3), leaf(3)), (1,)),
+        (T.gelu, (x3,), ()),
+    ]
+    for op, inputs, args in cases:
+        with Tape() as tape:
+            y = op(*inputs, *args)
+            T.sum_(y).backward()
+        assert len(tape) == 2  # the op and the sum
+        assert y.dtype == np.float32
+        assert all(t.grad is not None and t.grad.dtype == np.float32 for t in inputs)
