@@ -183,56 +183,30 @@ class Srsa(Module):
         self._heads = heads
         self._scale = scale_qk
 
-    def forward(self, x: Tensor) -> Tensor:
+    def _attention(self, x: Tensor) -> tuple:
+        """(v, att_t, vp): the full-resolution values (B, C, H, W), the softmax
+        weights transposed to (B, heads, pooled^2, H*W) and the pooled values
+        (B, heads, dh, pooled^2). Channel d of head j is j*dh + d; keeping
+        H*W last means no full-resolution tensor is transposed."""
         bsz, c, h, w = x.shape
-        hds = self._heads
-        dh = c // hds
-        s = self._pooled
-        xn = self.norm(x)
-        qkv = self.qkv_dw(self.qkv(xn))                    # (B, 3C, H, W)
+        hds, dh, s = self._heads, c // self._heads, self._pooled
+        qkv = self.qkv_dw(self.qkv(self.norm(x)))              # (B, 3C, H, W)
         q, k, v = T.split(qkv, [c, c, c], axis=1)
-
-        kp = T.adaptive_avg_pool2d(k, (s, s))              # (B, C, s, s)
-        vp = T.adaptive_avg_pool2d(v, (s, s))
-
-        def tokens(t, n):
-            t = T.reshape(t, (bsz, c, n))                  # (B, C, n)
-            t = T.transpose(t, (0, 2, 1))                  # (B, n, C)
-            t = T.reshape(t, (bsz, n, hds, dh))
-            return T.transpose(t, (0, 2, 1, 3))            # (B, heads, n, dh)
-
-        qs = tokens(q, h * w)
-        ks = tokens(kp, s * s)
-        vs = tokens(vp, s * s)
-
-        scores = T.matmul(qs, T.transpose(ks, (0, 1, 3, 2)))   # (B, heads, HW, s*s)
+        kp = T.reshape(T.adaptive_avg_pool2d(k, (s, s)), (bsz, hds, dh, s * s))
+        vp = T.reshape(T.adaptive_avg_pool2d(v, (s, s)), (bsz, hds, dh, s * s))
+        scores = T.matmul(T.transpose(kp, (0, 1, 3, 2)),
+                          T.reshape(q, (bsz, hds, dh, h * w)))  # (B, heads, s*s, HW)
         if self._scale:
             scores = scores * (1.0 / np.sqrt(dh))
-        att = T.softmax(scores, axis=-1)
-        ctx = T.matmul(att, vs)                             # (B, heads, HW, dh)
-        ctx = T.transpose(ctx, (0, 2, 1, 3))                # (B, HW, heads, dh)
-        ctx = T.reshape(ctx, (bsz, h * w, c))
-        ctx = T.transpose(ctx, (0, 2, 1))
-        ctx = T.reshape(ctx, (bsz, c, h, w))
-        return self.local(v) + ctx
+        return v, T.softmax(scores, axis=-2), vp
+
+    def forward(self, x: Tensor) -> Tensor:
+        v, att_t, vp = self._attention(x)
+        return self.local(v) + T.reshape(T.matmul(vp, att_t), x.shape)
 
     def attention_map(self, x: Tensor) -> Tensor:
         """The softmax weights, (B, heads, H*W, pooled^2); for inspection."""
-        bsz, c, h, w = x.shape
-        hds, dh, s = self._heads, c // self._heads, self._pooled
-        xn = self.norm(x)
-        qkv = self.qkv_dw(self.qkv(xn))
-        q, k, _ = T.split(qkv, [c, c, c], axis=1)
-        kp = T.adaptive_avg_pool2d(k, (s, s))
-
-        def tokens(t, n):
-            t = T.transpose(T.reshape(t, (bsz, c, n)), (0, 2, 1))
-            return T.transpose(T.reshape(t, (bsz, n, hds, dh)), (0, 2, 1, 3))
-
-        scores = T.matmul(tokens(q, h * w), T.transpose(tokens(kp, s * s), (0, 1, 3, 2)))
-        if self._scale:
-            scores = scores * (1.0 / np.sqrt(dh))
-        return T.softmax(scores, axis=-1)
+        return T.transpose(self._attention(x)[1], (0, 1, 3, 2))
 
 
 class MambaBlock(Module):

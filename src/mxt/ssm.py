@@ -13,13 +13,30 @@ The model runs all of this as one tape op, `scan_recurrence`. It walks the
 sequence one chunk at a time: discretize the chunk, compose its per-step
 affine maps (a, b) -> (a*a', a*b' + b) with a Hillis-Steele doubling pass,
 apply them to the carried state, check that every state is finite and read
-out y. No (B, L, E, N) array outlives its chunk. For backward the op keeps
-only its forward-time inputs x, delta, a, b, c and the state entering each
-chunk. Backward walks the chunks in reverse: it recomputes the chunk's
-states from the saved carry, runs the adjoint of the linear recurrence, the
-reversed recurrence lam_t = g_t + a_bar_{t+1} * lam_{t+1} (so that
-grad_a_bar[t] = lam_t * h_{t-1} and grad_bx[t] = lam_t), and only there forms
-the ZOH partials dphi/da and dphi/ddelta = exp(delta*a).
+out y. No (B, L, E, N) array outlives its chunk.
+
+Layout. Inside a chunk every per-step array is (B, l, N, E), so the E
+channels are numpy's contiguous inner axis: broadcasting a (B, l, E) input
+along N or a (B, l, N) one along E runs full-length inner loops. `a` is
+transposed once per call. Each element sees the same arithmetic as in the
+unfused chain, and the readout sums the N states with whole-slice adds in
+numpy's own pairwise order (in sequence below 8 terms; from 8 to 128 terms,
+8 strided lanes combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rest
+added in sequence), so the float32 output is bit-equal to the chain
+`discretize_zoh` -> `recurrence_chunked` -> `.sum(axis=-1)`. Whether the
+series form of phi can apply is decided once per call: rounding is
+monotone, so no |delta*a| is below fl(min delta * min|a|).
+
+Backward. The op keeps only its forward-time inputs x, delta, a, b, c and
+the state entering each chunk. It walks the chunks in reverse and
+recomputes each chunk's states from the saved carry. The adjoint
+lam_t = g_t c_t + a_bar_{t+1} lam_{t+1} (so that grad_a_bar[t] =
+lam_t * h_{t-1} and grad_bx[t] = lam_t) is the same linear recurrence run
+backwards in time, so it goes through the same composition on time-reversed
+arrays, with steps [1, a_bar_{l-1}, ..., a_bar_1] from the carried
+a_bar_l * lam_l. Only there does the op form the ZOH partials dphi/da and
+dphi/ddelta = exp(delta*a); its sums over N and E are matmuls or reductions
+over outer axes.
 
 The unfused pieces stay as tested oracles: `zoh_gain`/`discretize_zoh` (the
 discretization as ordinary tape ops), `recurrence_sequential` (a plain loop)
@@ -120,7 +137,7 @@ def _compose_chunk(A: np.ndarray, B: np.ndarray, carry: np.ndarray) -> np.ndarra
 
     (A, B)[t] accumulates the affine map of the chunk's steps up to t through
     log2(chunk) doubling rounds, overwriting A and B; the maps then apply to
-    the carry.
+    the carry, and A holds the result.
     """
     d, n = 1, A.shape[1]
     while d < n:
@@ -129,7 +146,9 @@ def _compose_chunk(A: np.ndarray, B: np.ndarray, carry: np.ndarray) -> np.ndarra
         B[:, d:] += A[:, d:] * B[:, :-d]
         A[:, d:] *= A[:, :-d]
         d *= 2
-    return A * carry[:, None] + B
+    A *= carry[:, None]
+    A += B
+    return A
 
 
 def recurrence_chunked(a: np.ndarray, b: np.ndarray, chunk_len: int) -> np.ndarray:
@@ -154,17 +173,62 @@ def _first_nonfinite_step(h: np.ndarray) -> int:
     return int(np.argmax(bad.any(axis=axes)))
 
 
-# ---- the fused selective scan ----------------------------------------------------
+# ---- the fused selective scan, in the (B, l, N, E) layout ------------------------
 
 
-def _scan_chunk(x, delta, a, b, carry):
-    """Discretize one chunk and run it from `carry`: (delta*a, a_bar, phi, h)."""
-    d4 = delta[:, :, :, None]
-    z = d4 * a
+def _sum_states(p: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
+    """Sum p[:, :, lo:lo+n] of a (B, l, N, E) array over N in numpy's order.
+
+    numpy sums a contiguous axis pairwise: fewer than 8 terms in sequence; up
+    to 128 terms in 8 lanes that take every 8th term, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in sequence;
+    longer runs split in two at a multiple of 8. Replaying that order with
+    whole-slice adds makes the result bit-equal to `.sum(axis=-1)` of the
+    (B, l, E, N) transpose.
+    """
+    n = p.shape[2] if n is None else n
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _sum_states(p, lo, half) + _sum_states(p, lo + half, n - half)
+    if n < 8:
+        out, tail = p[:, :, lo].copy(), lo + 1
+    else:
+        lanes = p[:, :, lo:lo + 8]
+        tail = lo + n - n % 8
+        for i in range(lo + 8, tail, 8):
+            lanes = lanes + p[:, :, i:i + 8]
+        pairs = lanes[:, :, 0::2] + lanes[:, :, 1::2]
+        pairs = pairs[:, :, 0::2] + pairs[:, :, 1::2]
+        out = pairs[:, :, 0] + pairs[:, :, 1]
+    for i in range(tail, lo + n):
+        out += p[:, :, i]
+    return out
+
+
+def _scan_chunk(x, delta, a_t, b, carry, series, keep=False):
+    """Discretize one chunk and run it from `carry`.
+
+    x and delta are (B, l, E), a_t is a transposed (N, E), b is (B, l, N) and carry
+    (B, N, E). Returns the (B, l, N, E) states, consuming a_bar and phi;
+    with `keep` returns (z, a_bar, phi, h) for backward instead. `series`
+    says some |z| may fall below SERIES_BRANCH, so the series form is checked.
+    """
+    d = delta[:, :, None, :]
+    z = d * a_t
+    if series:
+        phi = _zoh_phi(a_t, d, z)
+    else:
+        phi = np.expm1(z)
+        phi /= a_t
+    if not keep:
+        a_bar = np.exp(z, out=z)
+        phi *= b[:, :, :, None]
+        phi *= x[:, :, None, :]
+        return _compose_chunk(a_bar, phi, carry)
     a_bar = np.exp(z)
-    phi = _zoh_phi(a, d4, z)
-    h = _compose_chunk(a_bar.copy(), phi * b[:, :, None, :] * x[:, :, :, None], carry)
-    return z, a_bar, phi, h
+    bx = phi * b[:, :, :, None]
+    bx *= x[:, :, None, :]
+    return z, a_bar, phi, _compose_chunk(a_bar.copy(), bx, carry)
 
 
 def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
@@ -193,18 +257,21 @@ def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
     _check_delta(delta.data, "scan")
     inputs = (x, delta, a, b, c)
     xd, dd, ad, bd, cd = (t.data for t in inputs)
+    a_t = np.ascontiguousarray(ad.T)
+    # rounding is monotone, so no |z| = delta*|a| is below this product
+    series = bool(dd.min() * np.abs(ad).min() < SERIES_BRANCH)
     starts = range(0, L, chunk_len)
     # state entering each chunk, kept only when backward can run
-    carries = np.empty((len(starts), bsz, E, N), xd.dtype) if T.needs_grad(inputs) else None
+    carries = np.empty((len(starts), bsz, N, E), xd.dtype) if T.needs_grad(inputs) else None
     y = np.empty_like(xd)
-    carry = np.zeros((bsz, E, N), xd.dtype)
+    carry = np.zeros((bsz, N, E), xd.dtype)
     for i, s in enumerate(starts):
         e = min(s + chunk_len, L)
         if carries is not None:
             carries[i] = carry
-        *_, h = _scan_chunk(xd[:, s:e], dd[:, s:e], ad, bd[:, s:e], carry)
+        h = _scan_chunk(xd[:, s:e], dd[:, s:e], a_t, bd[:, s:e], carry, series)
         with np.errstate(invalid="ignore"):
-            y_chunk = (h * cd[:, s:e, None, :]).sum(axis=-1)
+            y_chunk = _sum_states(h * cd[:, s:e, :, None])
         # a non-finite state always makes its readout non-finite
         if not np.isfinite(y_chunk).all() and not np.isfinite(h).all():
             t = s + _first_nonfinite_step(h)
@@ -212,41 +279,49 @@ def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         y[:, s:e] = y_chunk
         carry = h[:, -1]
 
-    def bwd(gy, xd=xd, dd=dd, ad=ad, bd=bd, cd=cd):
+    def bwd(gy, xd=xd, dd=dd, a_t=a_t, bd=bd, cd=cd):
         gy = np.asarray(gy)
         gx, gd = np.empty_like(xd), np.empty_like(dd)
         gb, gc = np.empty_like(bd), np.empty_like(cd)
-        ga = np.zeros_like(ad)
-        ones = np.ones(N, xd.dtype)                # sums over N run as matmuls
-        lam_in = np.zeros((bsz, E, N), xd.dtype)   # a_bar_{t+1} * lam_{t+1}
+        ga_t = np.zeros_like(a_t)
+        ones = np.ones((1, N), xd.dtype)            # sums over N run as matmuls
+        lam_in = np.zeros((bsz, N, E), xd.dtype)   # a_bar_{t+1} * lam_{t+1}
         for i in reversed(range(len(starts))):
             s = starts[i]
             e = min(s + chunk_len, L)
             g, xc, dc, bc = gy[:, s:e], xd[:, s:e], dd[:, s:e], bd[:, s:e]
-            z, a_bar, phi, h = _scan_chunk(xc, dc, ad, bc, carries[i])
-            gc[:, s:e] = np.matmul(g[:, :, None, :], h)[:, :, 0]
-            # lam_t = g_t c_t + a_bar_{t+1} lam_{t+1}, stepped backwards in time
-            lam = g[:, :, :, None] * cd[:, s:e, None, :]
-            for t in range(e - s - 1, -1, -1):
-                lam[:, t] += lam_in
-                lam_in = a_bar[:, t] * lam[:, t]
+            z, a_bar, phi, h = _scan_chunk(xc, dc, a_t, bc, carries[i], series, keep=True)
+            gc[:, s:e] = np.matmul(h, g[:, :, :, None])[..., 0]
+            # lam_t = g_t c_t + a_bar_{t+1} lam_{t+1} is the forward recurrence
+            # run backwards in time: compose it on the reversed chunk with
+            # steps [1, a_bar_{l-1}, ..., a_bar_1] from the carried lam_in
+            steps = np.empty_like(a_bar)
+            steps[:, 0] = 1
+            steps[:, 1:] = a_bar[:, :0:-1]
+            gc_r = cd[:, s:e, :, None][:, ::-1] * g[:, ::-1, None, :]
+            lam = _compose_chunk(steps, gc_r, lam_in)[:, ::-1]
+            lam_in = a_bar[:, 0] * lam[:, 0]
             h[:, 1:] = h[:, :-1]                        # now h_{t-1}
             h[:, 0] = carries[i]
             # through bx = phi * b * x
             lp = lam * phi
-            gx[:, s:e] = np.matmul(lp, bc[:, :, :, None])[..., 0]
-            gb[:, s:e] = np.matmul(xc[:, :, None, :], lp)[:, :, 0]
-            gphi = lam * bc[:, :, None, :]
-            gphi *= xc[:, :, :, None]
+            gx[:, s:e] = np.matmul(bc[:, :, None, :], lp)[:, :, 0]
+            gb[:, s:e] = np.matmul(lp, xc[:, :, :, None])[..., 0]
+            gphi = lam * bc[:, :, :, None]
+            gphi *= xc[:, :, None, :]
             # through z = delta * a, into a_bar = exp(z) and into phi(a, delta),
             # whose delta-partial is exp(z) = a_bar
             gz = lam * h
             gz *= a_bar
-            d4 = dc[:, :, :, None]
-            ga += (gz * d4 + gphi * _zoh_dphi_da(ad, d4, z, phi, a_bar)).sum(axis=(0, 1))
-            gd[:, s:e] = np.matmul(gz * ad + gphi * a_bar, ones)
-        return tuple(g if t.requires_grad else None
-                     for g, t in zip((gx, gd, ga, gb, gc), inputs))
+            d = dc[:, :, None, :]
+            if series:
+                dphi = _zoh_dphi_da(a_t, d, z, phi, a_bar)
+            else:
+                dphi = (d * a_bar - phi) / a_t
+            ga_t += (gz * d + gphi * dphi).sum(axis=(0, 1))
+            gd[:, s:e] = np.matmul(ones, gz * a_t + gphi * a_bar)[:, :, 0]
+        grads = (gx, gd, np.ascontiguousarray(ga_t.T), gb, gc)
+        return tuple(g if t.requires_grad else None for g, t in zip(grads, inputs))
 
     return T._make(y, inputs, bwd)
 

@@ -31,7 +31,6 @@ class NumericError(ArithmeticError):
     """A non-finite value appeared where the op forbids it."""
 
 
-WIDTHS = {"standard": np.float32, "wide": np.float64}
 _ALLOWED = (np.float32, np.float64)
 
 _default_dtype = np.float32
@@ -741,35 +740,29 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
     return _make(out, (x,), bwd)
 
 
+def _pool_matrix(n: int, o: int, dtype) -> np.ndarray:
+    """(o, n) matrix whose row i averages the window [floor(i*n/o), ceil((i+1)*n/o))."""
+    i, j = np.arange(o)[:, None], np.arange(n)
+    lo, hi = i * n // o, -(-(i + 1) * n // o)
+    return (((j >= lo) & (j < hi)) / (hi - lo)).astype(dtype)
+
+
 def adaptive_avg_pool2d(x: Tensor, out_hw: tuple) -> Tensor:
-    """Average-pool (B, C, H, W) onto an (oh, ow) grid.
+    """Average-pool (B, C, H, W) onto an (oh, ow) grid: Ph @ x @ Pw^T.
 
     Window for output cell i along an axis of length H is
     [floor(i*H/oh), ceil((i+1)*H/oh)); windows overlap when H < oh and are
-    never empty, so any input size maps onto any output grid.
+    never empty, so any input size maps onto any output grid. Ph (oh, H) and
+    Pw (ow, W) hold 1/len over each window.
     """
     if x.ndim != 4:
         raise DimensionError(f"adaptive pool expects (B, C, H, W), got {x.shape}")
-    b, c, h, w = x.shape
-    oh, ow = out_hw
+    ph = _pool_matrix(x.shape[2], out_hw[0], x.data.dtype)
+    pw = _pool_matrix(x.shape[3], out_hw[1], x.data.dtype)
+    out = ph @ x.data @ pw.T
 
-    def bounds(n, o):
-        return [(int(np.floor(i * n / o)), int(np.ceil((i + 1) * n / o))) for i in range(o)]
-
-    hb, wb = bounds(h, oh), bounds(w, ow)
-    out = np.empty((b, c, oh, ow), dtype=x.data.dtype)
-    for i, (h0, h1) in enumerate(hb):
-        for j, (w0, w1) in enumerate(wb):
-            out[:, :, i, j] = x.data[:, :, h0:h1, w0:w1].mean(axis=(2, 3))
-
-    def bwd(g, x=x):
-        gx = np.zeros_like(x.data)
-        g = np.asarray(g)
-        for i, (h0, h1) in enumerate(hb):
-            for j, (w0, w1) in enumerate(wb):
-                n = (h1 - h0) * (w1 - w0)
-                gx[:, :, h0:h1, w0:w1] += g[:, :, i : i + 1, j : j + 1] / x.data.dtype.type(n)
-        return (gx,)
+    def bwd(g):
+        return (ph.T @ np.asarray(g) @ pw,)
 
     return _make(out, (x,), bwd)
 

@@ -193,6 +193,21 @@ def test_srsa_qk_scale_flag_changes_output():
     assert np.abs(ya.data - yb.data).max() > 1e-9
 
 
+def test_srsa_forward_is_local_plus_attention_map_times_pooled_values():
+    # two heads: channel d of head j is j*dh + d in both v and the output
+    with f64():
+        srsa = B.Srsa(8, rng(21), pooled_spatial=2, heads=2)
+        x = Tensor(rng(22).standard_normal((2, 8, 6, 6)), dtype=np.float64)
+        y = srsa(x).data
+        att = srsa.attention_map(x).data                       # (B, heads, HW, 4)
+        v = srsa.qkv_dw(srsa.qkv(srsa.norm(x))).data[:, 16:]   # (B, C, H, W)
+        local = srsa.local(Tensor(v, dtype=np.float64)).data
+    vp = v.reshape(2, 2, 4, 2, 3, 2, 3).mean(axis=(4, 6)).reshape(2, 2, 4, 4)
+    ctx = att @ vp.transpose(0, 1, 3, 2)                       # (B, heads, HW, dh)
+    np.testing.assert_allclose(y, local + ctx.transpose(0, 1, 3, 2).reshape(2, 8, 6, 6),
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_srsa_gradients():
     with f64():
         srsa = B.Srsa(2, rng(19), pooled_spatial=2)

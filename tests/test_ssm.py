@@ -227,6 +227,88 @@ def test_scan_float32_bit_equal_to_reference_at_paper_level0():
     assert np.array_equal(got, ref)
 
 
+def unfused_scan_f32(x, p, chunk_len=64):
+    """The level-0 test's reference chain: discretize_zoh, recurrence_chunked
+    and a readout summed over the trailing N axis."""
+    bsz, L, E = x.shape
+    N = p.state_dim
+    with T.no_grad():
+        delta, bt, ct = S.selective_discrete(x, p)
+        a_bar, b_bar = S.discretize_zoh(T.reshape(p.decay(), (1, 1, E, N)),
+                                        T.reshape(bt, (bsz, L, 1, N)),
+                                        T.reshape(delta, (bsz, L, E, 1)))
+        h = S.recurrence_chunked(a_bar.data, b_bar.data * x.data[..., None], chunk_len)
+        return (h * ct.data[:, :, None, :]).sum(axis=-1)
+
+
+@pytest.mark.parametrize("E,L", [(64, 32 * 32), (128, 16 * 16), (256, 8 * 8), (32, 1000)])
+def test_scan_float32_bit_equal_to_reference_at_every_paper_level(E, L):
+    # levels 1-3 of the paper layout on a 64x64 image (level 0 is the test
+    # above), plus a ragged last chunk
+    p = S.init_ssm_params(E, 8, rng(40 + E), dtype=np.float32)
+    x = Tensor(rng(41).standard_normal((1, L, E)).astype(np.float32))
+    with T.no_grad():
+        got = S.scan_chunked(x, p, chunk_len=64).data
+    assert got.dtype == np.float32
+    assert np.array_equal(got, unfused_scan_f32(x, p))
+
+
+@pytest.mark.parametrize("N", list(range(1, 21)) + [64, 128, 129, 300])
+def test_sum_states_is_bitwise_numpy_sum(N):
+    p = rng(N).standard_normal((2, 5, N, 33)).astype(np.float32)
+    ref = np.ascontiguousarray(p.transpose(0, 1, 3, 2)).sum(axis=-1)
+    got = S._sum_states(p)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, ref)
+
+
+@settings(max_examples=25, deadline=None)
+@given(B=st.integers(1, 2), L=st.integers(1, 10), E=st.integers(1, 3), N=st.integers(1, 4),
+       chunk=st.integers(1, 12), seed=st.integers(0, 10_000))
+def test_scan_recurrence_gradients_vs_fd_property(B, L, E, N, chunk, seed):
+    arrays = scan_inputs(B, L, E, N, seed)
+    w = f64(rng(seed + 1).standard_normal((B, L, E)))
+    worst, errs = check_function(
+        lambda *ts: T.sum_(S.scan_recurrence(*ts, chunk_len=chunk) * w), arrays)
+    assert worst < 1e-6, f"{worst:.3e} {errs}"
+
+
+def unfused_scan_tape(x, delta, a, b, c):
+    """Differentiable reference: `discretize_zoh`, then one tape op per step."""
+    bsz, L, E = x.shape
+    N = a.shape[1]
+    a_bar, b_bar = S.discretize_zoh(T.reshape(a, (1, 1, E, N)), T.reshape(b, (bsz, L, 1, N)),
+                                    T.reshape(delta, (bsz, L, E, 1)))
+    bx = b_bar * T.reshape(x, (bsz, L, E, 1))
+    state, ys = None, []
+    for t in range(L):
+        step = T.index(bx, (slice(None), slice(t, t + 1)))
+        state = step if state is None else T.index(a_bar, (slice(None), slice(t, t + 1))) * state + step
+        c_t = T.reshape(T.index(c, (slice(None), slice(t, t + 1))), (bsz, 1, 1, N))
+        ys.append(T.sum_(state * c_t, axis=-1))
+    return T.concat(ys, axis=1)
+
+
+def test_scan_series_branch_matches_unfused_tape_chain():
+    # channel 0 has every delta*|a| below SERIES_BRANCH, so the per-call check
+    # must route the call through the series forms of phi and dphi/da; the
+    # closed form of dphi/da would cancel to ~1e-4 relative error there
+    arrays = scan_inputs(B=2, L=9, E=2, N=3, seed=17)
+    arrays[1][:, :, 0] = rng(19).uniform(1e-13, 1e-12, (2, 9))
+    w = f64(rng(18).standard_normal((2, 9, 2)))
+
+    def run(fn):
+        ts = [Tensor(v, requires_grad=True, dtype=np.float64) for v in arrays]
+        with T.Tape():
+            y = fn(*ts)
+            T.sum_(y * w).backward()
+        return [y.data] + [t.grad for t in ts]
+
+    fused = run(lambda *ts: S.scan_recurrence(*ts, chunk_len=4))
+    for got, ref in zip(fused, run(unfused_scan_tape)):
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)
+
+
 def test_scan_nonfinite_reports_timestep():
     arrays = scan_inputs(L=8)
     arrays[0][0, 3, 1] = np.inf
