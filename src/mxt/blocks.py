@@ -56,8 +56,11 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-def _uniform(rng: np.random.Generator, shape, k: float, dtype) -> Tensor:
-    return Tensor(rng.uniform(-k, k, shape).astype(dtype), requires_grad=True, dtype=dtype)
+def _uniform(rng: np.random.Generator | None, shape, k: float, dtype) -> Tensor:
+    """A weight drawn from U(-k, k); left uninitialized when rng is None, for
+    a model whose every weight is loaded next."""
+    data = np.empty(shape, dtype) if rng is None else rng.uniform(-k, k, shape).astype(dtype)
+    return Tensor(data, requires_grad=True, dtype=dtype)
 
 
 class Linear(Module):

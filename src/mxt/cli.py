@@ -74,6 +74,8 @@ def parse_config_file(path: str) -> dict:
 
 
 def effective_config(config_path: str | None, env: dict, overrides: dict) -> dict:
+    from .model import WIDTHS
+
     flat = default_flat()
 
     def apply(source: dict, origin: str):
@@ -92,22 +94,19 @@ def effective_config(config_path: str | None, env: dict, overrides: dict) -> dic
             raise ContractError(f"MXT_SEED must be an integer, got {raw!r}")
         flat["train.seed"] = raw
     apply(overrides, "command line")
-    if flat["width"] not in ("standard", "wide"):
+    if flat["width"] not in WIDTHS:
         raise ContractError(f"width must be standard or wide, got {flat['width']!r}")
     return flat
 
 
 def build_configs(flat: dict):
     from .losses import LossWeights
-    from .model import ModelConfig
+    from .model import ModelConfig, meta_section
     from .train import TrainConfig, dataclass_unflat
 
-    def section(prefix):
-        return {k[len(prefix):]: v for k, v in flat.items() if k.startswith(prefix)}
-
-    mcfg = ModelConfig.from_flat(section("model."))
-    tcfg = dataclass_unflat(TrainConfig, section("train."))
-    weights = dataclass_unflat(LossWeights, section("loss."))
+    mcfg = ModelConfig.from_flat(meta_section(flat, "model."))
+    tcfg = dataclass_unflat(TrainConfig, meta_section(flat, "train."))
+    weights = dataclass_unflat(LossWeights, meta_section(flat, "loss."))
     return mcfg, tcfg, weights, flat["width"]
 
 

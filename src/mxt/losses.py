@@ -58,7 +58,7 @@ class FeatureExtractor(Module):
 class PatchDiscriminator(Module):
     """Stride-2 conv stack ending in a 1x1 logit map over patches."""
 
-    def __init__(self, rng: np.random.Generator, in_channels: int = 3,
+    def __init__(self, rng: np.random.Generator | None, in_channels: int = 3,
                  widths=(32, 64, 128), dtype=None):
         self.stages = []
         cin = in_channels

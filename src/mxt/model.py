@@ -138,7 +138,10 @@ class Stage(Module):
 
 
 class MxT(Module):
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator, dtype=None):
+    """The U-Net. With rng None its weights are left uninitialized, for a
+    model whose every weight is loaded next (see restore_model)."""
+
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None, dtype=None):
         dtype = dtype or T.get_default_dtype()
         self._cfg = cfg
         base = cfg.base_channels
@@ -275,30 +278,48 @@ def ablation_variant(cfg: ModelConfig, mamba: bool, srsa: bool, ffn: bool = True
 
 # ---- persistence ---------------------------------------------------------------
 
+# the one width <-> dtype table: checkpoints, training state and the CLI
+WIDTHS = {"standard": np.dtype(np.float32), "wide": np.dtype(np.float64)}
+
+
+def width_of(dtype) -> str:
+    return next(w for w, dt in WIDTHS.items() if dt == dtype)
+
+
+def meta_section(meta: dict, prefix: str) -> dict:
+    """The entries of a flat str->str mapping under prefix, prefix removed."""
+    return {k[len(prefix):]: v for k, v in meta.items() if k.startswith(prefix)}
+
 
 def save_model(path: str, model: MxT, extra_meta: dict | None = None) -> None:
     from .checkpoint import save_checkpoint
 
-    width = "wide" if model.embed.w.data.dtype == np.float64 else "standard"
     meta = {f"model.{k}": v for k, v in model.config.to_flat().items()}
-    meta["width"] = width
+    meta["width"] = width_of(model.embed.w.data.dtype)
     meta.update(extra_meta or {})
     tensors = {f"model.{n}": p.data for n, p in model.named_parameters()}
     save_checkpoint(path, meta, tensors)
 
 
-def load_model(path: str):
-    """Rebuild an MxT from a checkpoint; returns (model, meta)."""
+def restore_model(path: str):
+    """Read a checkpoint and rebuild its MxT without drawing random numbers:
+    the model is built uninitialized and every weight is then loaded. Returns
+    (model, meta, tensors); the caller restores the rest of the file's
+    tensors."""
     from .checkpoint import SchemaError, load_checkpoint
 
     meta, tensors = load_checkpoint(path)
-    cfg_flat = {k[len("model."):]: v for k, v in meta.items() if k.startswith("model.")}
-    cfg = ModelConfig.from_flat(cfg_flat)
-    if meta.get("width") not in ("standard", "wide"):
+    if meta.get("width") not in WIDTHS:
         raise SchemaError(f"{path}: missing or bad width {meta.get('width')!r}")
-    dtype = np.float64 if meta["width"] == "wide" else np.float32
-    model = MxT(cfg, np.random.default_rng(0), dtype=dtype)
+    cfg = ModelConfig.from_flat(meta_section(meta, "model."))
+    model = MxT(cfg, None, dtype=WIDTHS[meta["width"]])
     load_weights(model, tensors, prefix="model.", path=path)
+    return model, meta, tensors
+
+
+def load_model(path: str):
+    """Rebuild an MxT from a checkpoint; returns (model, meta)."""
+    model, meta, _ = restore_model(path)
     return model, meta
 
 

@@ -366,23 +366,29 @@ class SsmParams:
         return out
 
 
-def init_ssm_params(channels: int, state_dim: int, rng: np.random.Generator,
+def init_ssm_params(channels: int, state_dim: int, rng: np.random.Generator | None,
                     dtype=None, use_skip: bool = False) -> SsmParams:
     """Draw initial weights: a in [1, 16] pre-log, delta bias giving softplus
-    outputs in [1e-3, 1e-1], small uniform projections."""
+    outputs in [1e-3, 1e-1], small uniform projections. With rng None the
+    weights are left uninitialized, for a model whose every weight is loaded
+    next."""
     dt = dtype or T.get_default_dtype()
-    a0 = np.log(rng.uniform(1.0, 16.0, (channels, state_dim)))
-    target_dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), channels))
-    dt_b = np.log(np.expm1(target_dt))  # inverse softplus
-    k = 1.0 / np.sqrt(channels)
-    mk = lambda arr: Tensor(arr.astype(dt), requires_grad=True, dtype=dt)
-    p = SsmParams(
-        a_log=mk(a0),
-        dt_w=mk(rng.uniform(-k, k, (channels, channels))),
-        dt_b=mk(dt_b),
-        b_w=mk(rng.uniform(-k, k, (channels, state_dim))),
-        c_w=mk(rng.uniform(-k, k, (channels, state_dim))),
-    )
+    mk = lambda arr: Tensor(arr.astype(dt, copy=False), requires_grad=True, dtype=dt)
+    e, n = channels, state_dim
+    if rng is None:
+        p = SsmParams(*(mk(np.empty(shape, dt)) for shape in ((e, n), (e, e), (e,), (e, n), (e, n))))
+    else:
+        a0 = np.log(rng.uniform(1.0, 16.0, (e, n)))
+        target_dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), e))
+        dt_b = np.log(np.expm1(target_dt))  # inverse softplus
+        k = 1.0 / np.sqrt(e)
+        p = SsmParams(
+            a_log=mk(a0),
+            dt_w=mk(rng.uniform(-k, k, (e, e))),
+            dt_b=mk(dt_b),
+            b_w=mk(rng.uniform(-k, k, (e, n))),
+            c_w=mk(rng.uniform(-k, k, (e, n))),
+        )
     if use_skip:
         p.skip_d = mk(np.ones(channels))
     return p

@@ -25,7 +25,7 @@ from .losses import (
     generator_loss,
     masked_l1,
 )
-from .model import ModelConfig, MxT, load_weights
+from .model import WIDTHS, ModelConfig, MxT, load_weights, meta_section, restore_model, width_of
 from .tensor import ContractError, NumericError, Tape, Tensor, no_grad
 
 # fixed stream ids so model/disc init never collide with batch shuffling
@@ -165,7 +165,7 @@ class TrainState:
 
     @property
     def width(self) -> str:
-        return "wide" if self.model.embed.w.data.dtype == np.float64 else "standard"
+        return width_of(self.dtype)
 
     @property
     def dtype(self):
@@ -176,16 +176,23 @@ def init_train_state(mcfg: ModelConfig, tcfg: TrainConfig,
                      weights: LossWeights | None = None,
                      width: str = "standard") -> TrainState:
     weights = weights if weights is not None else LossWeights()
-    dtype = np.float64 if width == "wide" else np.float32
-    model = MxT(mcfg, np.random.default_rng([tcfg.seed, _MODEL_STREAM]), dtype=dtype)
+    model = MxT(mcfg, np.random.default_rng([tcfg.seed, _MODEL_STREAM]), dtype=WIDTHS[width])
+    return _assemble_state(model, tcfg, weights, np.random.default_rng([tcfg.seed, _DISC_STREAM]))
+
+
+def _assemble_state(model: MxT, tcfg: TrainConfig, weights: LossWeights,
+                    disc_rng: np.random.Generator | None) -> TrainState:
+    """Optimizers, extractor and (when adversarial) discriminator around a
+    model; disc_rng None leaves the discriminator for a load to fill in. The
+    extractor is never stored, so it is always drawn from its fixed seed."""
+    dtype = model.embed.w.data.dtype
     opt_g = Adam(model, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
     extractor = None
     if weights.style != 0 or weights.perceptual != 0:
         extractor = FeatureExtractor(seed=EXTRACTOR_SEED, dtype=dtype)
     disc = opt_d = None
     if weights.adversarial != 0:
-        disc = PatchDiscriminator(np.random.default_rng([tcfg.seed, _DISC_STREAM]),
-                                  dtype=dtype)
+        disc = PatchDiscriminator(disc_rng, dtype=dtype)
         opt_d = Adam(disc, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
     return TrainState(model=model, tcfg=tcfg, weights=weights, opt_g=opt_g,
                       extractor=extractor, disc=disc, opt_d=opt_d)
@@ -325,21 +332,17 @@ def save_train_state(path: str, state: TrainState) -> None:
 
 
 def load_train_state(path: str) -> TrainState:
-    from .checkpoint import SchemaError, load_checkpoint
+    """Rebuild a training state from a checkpoint. Nothing the file stores is
+    drawn: the model comes from restore_model and the discriminator is built
+    uninitialized and loaded too. Only the frozen extractor, which is never
+    stored, is drawn from its fixed seed."""
+    from .checkpoint import SchemaError
 
-    meta, tensors = load_checkpoint(path)
-    if meta.get("width") not in ("standard", "wide"):
-        raise SchemaError(f"{path}: missing or bad width {meta.get('width')!r}")
-
-    def section(prefix):
-        return {k[len(prefix):]: v for k, v in meta.items() if k.startswith(prefix)}
-
-    mcfg = ModelConfig.from_flat(section("model."))
-    tcfg = dataclass_unflat(TrainConfig, section("train."))
-    weights = dataclass_unflat(LossWeights, section("loss."))
-    state = init_train_state(mcfg, tcfg, weights, width=meta["width"])
+    model, meta, tensors = restore_model(path)
+    tcfg = dataclass_unflat(TrainConfig, meta_section(meta, "train."))
+    weights = dataclass_unflat(LossWeights, meta_section(meta, "loss."))
+    state = _assemble_state(model, tcfg, weights, disc_rng=None)
     state.step = int(meta["step"])
-    load_weights(state.model, tensors, prefix="model.", path=path)
     state.opt_g.load_moments(tensors, "opt_g", path)
     state.opt_g.t = int(meta["opt_g.t"])
     if state.disc is not None:

@@ -240,3 +240,102 @@ def test_model_load_schema_errors(tmp_path):
     save_checkpoint(p, meta, bent)
     with pytest.raises(SchemaError):
         load_model(p)
+
+
+# ---- checkpoint I/O in one pass -----------------------------------------------------
+
+
+class _NoDraws(np.random.Generator):
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("a random weight was drawn")
+
+
+def test_load_model_draws_no_random_numbers(tmp_path, monkeypatch):
+    p = str(tmp_path / "model.ckpt")
+    m = tiny_model(seed=19, use_skip_d=True)
+    save_model(p, m)
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: _NoDraws(np.random.PCG64()))
+    loaded, _ = load_model(p)
+    for (na, pa), (nb, pb) in zip(m.named_parameters(), loaded.named_parameters()):
+        assert na == nb and pa.data.dtype == pb.data.dtype
+        assert np.array_equal(pa.data, pb.data), na
+
+
+def test_checkpoint_bytes_follow_the_documented_layout(tmp_path):
+    import struct
+    import zlib
+
+    p = str(tmp_path / "tiny.ckpt")
+    meta = {"step": "7", "model.base_channels": "4", "note": "a=b"}
+    tensors = {"w": np.arange(6, dtype=np.float32).reshape(2, 3),
+               "s": np.array(-1.5, dtype=np.float64)}
+    save_checkpoint(p, meta, tensors)
+
+    text = b"model.base_channels=4\nnote=a=b\nstep=7\n"
+    body = b"MXTCKPT1" + struct.pack("<I", len(text)) + text + struct.pack("<I", 2)
+    body += struct.pack("<H", 1) + b"w" + struct.pack("<BB", 0, 2) + struct.pack("<2I", 2, 3)
+    body += struct.pack("<6f", 0, 1, 2, 3, 4, 5)
+    body += struct.pack("<H", 1) + b"s" + struct.pack("<BB", 1, 0)
+    body += struct.pack("<d", -1.5)
+    expected = body + struct.pack("<I", zlib.crc32(body))
+    assert open(p, "rb").read() == expected
+
+    m2, t2 = load_checkpoint(p)
+    assert m2 == meta and list(t2) == ["w", "s"]
+    for k in tensors:
+        assert t2[k].dtype == tensors[k].dtype and t2[k].shape == tensors[k].shape
+        np.testing.assert_array_equal(t2[k], tensors[k])
+
+
+def test_checkpoint_oversized_payload_raises_without_allocating(tmp_path):
+    import struct
+    import tracemalloc
+    import zlib
+
+    p = str(tmp_path / "huge.ckpt")
+    body = b"MXTCKPT1" + struct.pack("<I", 0) + struct.pack("<I", 1)
+    body += struct.pack("<H", 1) + b"w" + struct.pack("<BBI", 0, 1, 2**31) + bytes(64)
+    open(p, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptionError):
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the declared payload is 8 GiB
+
+
+def test_checkpoint_rejects_bytes_between_last_tensor_and_crc(tmp_path):
+    import struct
+    import zlib
+
+    p = str(tmp_path / "extra.ckpt")
+    save_checkpoint(p, {"k": "v"}, {"w": np.ones(4, dtype=np.float32)})
+    body = open(p, "rb").read()[:-4] + b"\0\0\0\0"
+    open(p, "wb").write(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CorruptionError, match="trailing"):
+        load_checkpoint(p)
+
+
+def test_checkpoint_io_holds_one_copy_of_the_payload(tmp_path):
+    import tracemalloc
+
+    p = str(tmp_path / "four.ckpt")
+    gen = rng(20)
+    tensors = {f"t{i}": gen.standard_normal((256, 1024)).astype(np.float32) for i in range(4)}
+    payload = sum(a.nbytes for a in tensors.values())  # 4 MiB
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(lambda: save_checkpoint(p, {"k": "v"}, tensors)) <= 0.25 * payload
+    loaded = {}
+    assert traced_peak(lambda: loaded.update(load_checkpoint(p)[1])) <= 1.25 * payload
+    for k in tensors:
+        np.testing.assert_array_equal(loaded[k], tensors[k])

@@ -226,3 +226,22 @@ def test_hole_l1_is_finite_and_positive():
     state = init_train_state(tiny_cfg(), TrainConfig(), l1_only())
     val = hole_l1(state, samples)
     assert np.isfinite(val) and val > 0
+
+
+def test_load_train_state_draws_no_random_numbers(tmp_path, monkeypatch):
+    class NoDraws(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("a random weight was drawn")
+
+    samples = synthetic_dataset(2, 16, 16, seed=6)
+    weights = LossWeights(l1=1.0, style=0.0, perceptual=0.0, adversarial=0.001)
+    state = init_train_state(tiny_cfg(), TrainConfig(batch_size=2, seed=3), weights)
+    train_step(state, samples)
+    p = str(tmp_path / "state.ckpt")
+    save_train_state(p, state)
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: NoDraws(np.random.PCG64()))
+    loaded = load_train_state(p)
+    a, b = _all_tensors(state), _all_tensors(loaded)
+    assert a.keys() == b.keys()
+    for key in a:
+        assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
