@@ -86,17 +86,24 @@ def effective_config(config_path: str | None, env: dict, overrides: dict) -> dic
 
     if config_path:
         apply(parse_config_file(config_path), config_path)
-    if "MXT_SEED" in env:
-        raw = env["MXT_SEED"]
+    seed = _env_seed(env)
+    if seed is not None:
+        flat["train.seed"] = seed
+    apply(overrides, "command line")
+    if flat["width"] not in WIDTHS:
+        raise ContractError(f"width must be {' or '.join(WIDTHS)}, got {flat['width']!r}")
+    return flat
+
+
+def _env_seed(env: dict) -> str | None:
+    """MXT_SEED as set in env, checked to be an integer; None when unset."""
+    raw = env.get("MXT_SEED")
+    if raw is not None:
         try:
             int(raw)
         except ValueError:
             raise ContractError(f"MXT_SEED must be an integer, got {raw!r}")
-        flat["train.seed"] = raw
-    apply(overrides, "command line")
-    if flat["width"] not in WIDTHS:
-        raise ContractError(f"width must be standard or wide, got {flat['width']!r}")
-    return flat
+    return raw
 
 
 def build_configs(flat: dict):
@@ -308,19 +315,16 @@ def _resolve_seed(flag_value) -> int:
     """Explicit flag beats MXT_SEED beats 0."""
     if flag_value is not None:
         return flag_value
-    if "MXT_SEED" in os.environ:
-        raw = os.environ["MXT_SEED"]
-        try:
-            return int(raw)
-        except ValueError:
-            raise ContractError(f"MXT_SEED must be an integer, got {raw!r}")
-    return 0
+    seed = _env_seed(os.environ)
+    return 0 if seed is None else int(seed)
 
 
 # ---- wiring ---------------------------------------------------------------------
 
 
 def build_parser() -> _Parser:
+    from .model import WIDTHS
+
     p = _Parser(prog="mxt", description="Hybrid state-space / attention image inpainting")
     sub = p.add_subparsers(dest="command", metavar="command")
 
@@ -338,7 +342,7 @@ def build_parser() -> _Parser:
                     help="train on N generated images")
     tr.add_argument("--image-size", dest="image_size", type=int)
     tr.add_argument("--data-dir", dest="data_dir")
-    tr.add_argument("--width", choices=["standard", "wide"])
+    tr.add_argument("--width", choices=list(WIDTHS))
     tr.set_defaults(func=cmd_train)
 
     inf = sub.add_parser("infer", help="fill holes in one image")

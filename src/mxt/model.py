@@ -233,6 +233,11 @@ def tiled_inference(model: MxT, i_in: np.ndarray, tile: int = 0, overlap: int = 
     are feather-blended with linear ramps and renormalized. overlap = 0
     degenerates to disjoint tiles copied verbatim, bit-equal to running each
     region independently.
+
+    The tiles of one row go through the model as one batch. Every layer
+    works per sample, so the output equals a pass per tile, and memory
+    scales with one row of tiles rather than one tile (still far below a
+    full pass over a large image).
     """
     if i_in.ndim != 3:
         raise DimensionError(f"tiled_inference expects (C, H, W), got {i_in.shape}")
@@ -240,13 +245,12 @@ def tiled_inference(model: MxT, i_in: np.ndarray, tile: int = 0, overlap: int = 
     dt = model.embed.w.data.dtype
     div = 2 ** model.config.levels
 
-    def run(patch: np.ndarray) -> np.ndarray:
+    def run(batch: np.ndarray) -> np.ndarray:
         with T.no_grad():
-            out = model(Tensor(patch[None], dtype=dt))
-        return out.data[0]
+            return model(Tensor(batch, dtype=dt)).data
 
     if tile <= 0 or (tile >= h and tile >= w):
-        return run(i_in)
+        return run(i_in[None])[0]
     if tile % div:
         raise ContractError(f"tile side {tile} must be divisible by {div}")
     if overlap < 0 or overlap >= tile:
@@ -260,10 +264,10 @@ def tiled_inference(model: MxT, i_in: np.ndarray, tile: int = 0, overlap: int = 
     xs = _axis_positions(w, tile, stride)
     for y0 in ys:
         wy = _tile_weights(tile, overlap, y0 == 0, y0 == h - tile, dt)
-        for x0 in xs:
+        row_out = run(np.stack([i_in[:, y0 : y0 + tile, x0 : x0 + tile] for x0 in xs]))
+        for x0, patch_out in zip(xs, row_out):
             wx = _tile_weights(tile, overlap, x0 == 0, x0 == w - tile, dt)
             w2d = (wy[:, None] * wx[None, :])[None]
-            patch_out = run(i_in[:, y0 : y0 + tile, x0 : x0 + tile])
             out[:, y0 : y0 + tile, x0 : x0 + tile] += patch_out * w2d
             acc[:, y0 : y0 + tile, x0 : x0 + tile] += w2d
     return out / acc

@@ -321,27 +321,38 @@ def save_train_state(path: str, state: TrainState) -> None:
     meta["width"] = state.width
     meta["step"] = str(state.step)
     meta["opt_g.t"] = str(state.opt_g.t)
+    if state.disc is not None:
+        meta["opt_d.t"] = str(state.opt_d.t)
+    save_checkpoint(path, meta, _state_tensors(state))
+
+
+def _state_tensors(state: TrainState) -> dict:
+    """Every tensor a training checkpoint stores, keyed and ordered as in the file."""
     tensors = {f"model.{n}": p.data for n, p in state.model.named_parameters()}
     tensors.update(state.opt_g.moment_tensors("opt_g"))
     if state.disc is not None:
-        meta["opt_d.t"] = str(state.opt_d.t)
         tensors.update({f"disc.{n}": p.data
                         for n, p in state.disc.named_parameters()})
         tensors.update(state.opt_d.moment_tensors("opt_d"))
-    save_checkpoint(path, meta, tensors)
+    return tensors
 
 
 def load_train_state(path: str) -> TrainState:
     """Rebuild a training state from a checkpoint. Nothing the file stores is
     drawn: the model comes from restore_model and the discriminator is built
     uninitialized and loaded too. Only the frozen extractor, which is never
-    stored, is drawn from its fixed seed."""
+    stored, is drawn from its fixed seed. A stored tensor the state has no
+    place for (say, a discriminator when the adversarial weight is 0) is a
+    SchemaError, as it is for load_model."""
     from .checkpoint import SchemaError
 
     model, meta, tensors = restore_model(path)
     tcfg = dataclass_unflat(TrainConfig, meta_section(meta, "train."))
     weights = dataclass_unflat(LossWeights, meta_section(meta, "loss."))
     state = _assemble_state(model, tcfg, weights, disc_rng=None)
+    unused = sorted(set(tensors) - set(_state_tensors(state)))
+    if unused:
+        raise SchemaError(f"{path}: unused tensors {unused}")
     state.step = int(meta["step"])
     state.opt_g.load_moments(tensors, "opt_g", path)
     state.opt_g.t = int(meta["opt_g.t"])

@@ -168,6 +168,45 @@ def test_tiled_validates_tile_and_overlap():
         tiled_inference(m, x, tile=16, overlap=-1)
 
 
+def test_batched_forward_equals_single_sample_forwards():
+    # scan_chunk 24 leaves a ragged last chunk at every level of a 16x16 input
+    # (L = 256, 64, 16, 4)
+    m = tiny_model(seed=20, scan_chunk=24)
+    x = rng(21).uniform(0, 1, (3, 4, 16, 16)).astype(np.float32)
+    with T.no_grad():
+        batched = m(Tensor(x, dtype=np.float32)).data
+        singles = [m(Tensor(x[i : i + 1], dtype=np.float32)).data[0] for i in range(3)]
+    assert np.array_equal(batched, np.stack(singles))
+
+
+def test_tiled_equals_per_tile_reference_blend():
+    m = tiny_model(seed=22)
+    x = rng(23).uniform(0, 1, (4, 40, 56)).astype(np.float32)
+    tile, overlap = 24, 8
+    ys, xs = [0, 16], [0, 16, 32]  # a 2x3 grid of tiles at stride 16
+    ramp = np.linspace(0.0, 1.0, overlap + 2, dtype=np.float64)[1:-1].astype(np.float32)
+
+    def profile(start, size):
+        w = np.ones(tile, dtype=np.float32)
+        if start > 0:
+            w[:overlap] = ramp
+        if start + tile < size:
+            w[tile - overlap:] = ramp[::-1]
+        return w
+
+    out = np.zeros((3, 40, 56), dtype=np.float32)
+    acc = np.zeros((1, 40, 56), dtype=np.float32)
+    for y0 in ys:
+        for x0 in xs:
+            w2d = (profile(y0, 40)[:, None] * profile(x0, 56)[None, :])[None]
+            with T.no_grad():
+                patch = m(Tensor(x[None, :, y0 : y0 + tile, x0 : x0 + tile],
+                                 dtype=np.float32)).data[0]
+            out[:, y0 : y0 + tile, x0 : x0 + tile] += patch * w2d
+            acc[:, y0 : y0 + tile, x0 : x0 + tile] += w2d
+    assert np.array_equal(tiled_inference(m, x, tile=tile, overlap=overlap), out / acc)
+
+
 # ---- checkpoint container -------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import mxt.tensor as T
 from mxt.blocks import Module
+from mxt.checkpoint import SchemaError, load_checkpoint, save_checkpoint
 from mxt.data import synthetic_dataset
 from mxt.losses import LossWeights
 from mxt.model import ModelConfig
@@ -245,3 +246,21 @@ def test_load_train_state_draws_no_random_numbers(tmp_path, monkeypatch):
     assert a.keys() == b.keys()
     for key in a:
         assert a[key].dtype == b[key].dtype and np.array_equal(a[key], b[key]), key
+
+
+def test_load_train_state_rejects_tensors_it_does_not_use(tmp_path):
+    samples = synthetic_dataset(2, 16, 16, seed=6)
+    weights = LossWeights(l1=1.0, style=0.0, perceptual=0.0, adversarial=0.001)
+    state = init_train_state(tiny_cfg(), TrainConfig(batch_size=2, seed=3), weights)
+    train_step(state, samples)
+    p = str(tmp_path / "state.ckpt")
+    save_train_state(p, state)
+    meta, tensors = load_checkpoint(p)
+    # without the adversarial term the disc.* and opt_d.* tensors have no use
+    meta["loss.adversarial"] = "0.0"
+    tensors["opt_g.m.bogus"] = np.zeros(3, dtype=np.float32)
+    save_checkpoint(p, meta, tensors)
+    with pytest.raises(SchemaError, match="unused tensors") as err:
+        load_train_state(p)
+    for name in ("'disc.", "'opt_d.m.", "'opt_d.v.", "'opt_g.m.bogus'"):
+        assert name in str(err.value), name
