@@ -49,14 +49,9 @@ class _Parser(argparse.ArgumentParser):
 def default_flat() -> dict:
     from .losses import LossWeights
     from .model import ModelConfig
-    from .train import TrainConfig, dataclass_flat
+    from .train import TrainConfig, flat_config
 
-    flat = {}
-    flat.update({f"model.{k}": v for k, v in ModelConfig().to_flat().items()})
-    flat.update({f"train.{k}": v for k, v in dataclass_flat(TrainConfig()).items()})
-    flat.update({f"loss.{k}": v for k, v in dataclass_flat(LossWeights()).items()})
-    flat["width"] = "standard"
-    return flat
+    return flat_config(ModelConfig(), TrainConfig(), LossWeights(), "standard")
 
 
 def parse_config_file(path: str) -> dict:
@@ -146,6 +141,7 @@ def _echo_config(flat: dict) -> None:
 def cmd_train(args) -> int:
     from .train import (
         build_samples,
+        flat_config,
         hole_l1,
         init_train_state,
         load_train_state,
@@ -156,13 +152,7 @@ def cmd_train(args) -> int:
         state = load_train_state(args.resume)
         if args.iters is not None:
             state.tcfg.iters = args.iters
-        flat = default_flat()
-        flat.update({f"model.{k}": v for k, v in state.model.config.to_flat().items()})
-        from .train import dataclass_flat
-        flat.update({f"train.{k}": v for k, v in dataclass_flat(state.tcfg).items()})
-        flat.update({f"loss.{k}": v for k, v in dataclass_flat(state.weights).items()})
-        flat["width"] = state.width
-        _echo_config(flat)
+        _echo_config(flat_config(state.model.config, state.tcfg, state.weights, state.width))
         print(f"resumed from {args.resume} at step {state.step}")
     else:
         flat = effective_config(args.config, os.environ, _collect_overrides(args))

@@ -101,26 +101,28 @@ class HybridModule(Module):
     """SRSA -> Mamba -> gated FFN, each sub-block behind its own residual."""
 
     def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator, dtype=None):
+        # the enabled sub-blocks in order; the underscore keeps the list out
+        # of parameter traversal, so names stay srsa.*, mamba.*, ffn.*
+        self._blocks = []
         if cfg.enable_srsa:
             self.srsa = Srsa(channels, rng, pooled_spatial=cfg.pooled_spatial,
                              heads=cfg.heads, scale_qk=cfg.scale_qk, dtype=dtype)
+            self._blocks.append(self.srsa)
         if cfg.enable_mamba:
             self.mamba = MambaBlock(channels, rng, state_dim=cfg.state_dim,
                                     expand=cfg.expand, conv_kernel=cfg.conv_kernel,
                                     chunk_len=cfg.scan_chunk, use_pe=cfg.use_pe,
                                     silu_after_conv=cfg.silu_after_conv,
                                     use_skip=cfg.use_skip_d, dtype=dtype)
+            self._blocks.append(self.mamba)
         if cfg.enable_ffn:
             self.ffn = Gdfn(channels, rng, expansion=cfg.gdfn_expansion,
                             context_broadcast=cfg.use_cbfn, dtype=dtype)
+            self._blocks.append(self.ffn)
 
     def forward(self, x: Tensor) -> Tensor:
-        if hasattr(self, "srsa"):
-            x = x + self.srsa(x)
-        if hasattr(self, "mamba"):
-            x = x + self.mamba(x)
-        if hasattr(self, "ffn"):
-            x = x + self.ffn(x)
+        for block in self._blocks:
+            x = x + block(x)
         return x
 
 

@@ -10,37 +10,42 @@ Selectivity makes delta, b, c functions of the input sequence while a stays a
 learned per-(channel, state) constant, always negative via a = -exp(a_log).
 
 The model runs all of this as one tape op, `scan_recurrence`. It walks the
-sequence one chunk at a time: discretize the chunk, compose its per-step
-affine maps (a, b) -> (a*a', a*b' + b) with a Hillis-Steele doubling pass,
-apply them to the carried state, check that every state is finite and read
+sequence one chunk at a time: discretize the chunk, step the recurrence
+through it from the carried state, check that every state is finite and read
 out y. No (B, L, E, N) array outlives its chunk.
 
-Layout. Inside a chunk every per-step array is (B, l, N, E), so the E
-channels are numpy's contiguous inner axis: broadcasting a (B, l, E) input
-along N or a (B, l, N) one along E runs full-length inner loops. `a` is
+Layout. Inside a chunk every per-step array is time-major, (l, B, N, E): a
+step's B*N*E lanes are one contiguous block, so each step of the recurrence
+is two in-place ufunc calls over all of them, in the same arithmetic as
+`recurrence_sequential` (Mamba's own kernel is likewise a plain scan over
+time, Gu & Dao, arXiv 2312.00752, 3.3). The E channels are the contiguous
+inner axis: broadcasting an (l, B, E) input along N or an (l, B, N) one
+along E runs full-length inner loops. The (B, L, .) inputs, the output and
+the gradients are read and written through transposed views, and `a` is
 transposed once per call. Each element sees the same arithmetic as in the
 unfused chain, and the readout sums the N states with whole-slice adds in
 numpy's own pairwise order (in sequence below 8 terms; from 8 to 128 terms,
 8 strided lanes combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) and the rest
 added in sequence), so the float32 output is bit-equal to the chain
-`discretize_zoh` -> `recurrence_chunked` -> `.sum(axis=-1)`. Whether the
-series form of phi can apply is decided once per call: rounding is
-monotone, so no |delta*a| is below fl(min delta * min|a|).
+`discretize_zoh` -> `recurrence_sequential` -> `.sum(axis=-1)` for every
+chunk_len; chunk_len only sets the block size. Whether the series form of
+phi can apply is decided once per call: rounding is monotone, so no
+|delta*a| is below fl(min delta * min|a|).
 
 Backward. The op keeps only its forward-time inputs x, delta, a, b, c and
 the state entering each chunk. It walks the chunks in reverse and
 recomputes each chunk's states from the saved carry. The adjoint
 lam_t = g_t c_t + a_bar_{t+1} lam_{t+1} (so that grad_a_bar[t] =
 lam_t * h_{t-1} and grad_bx[t] = lam_t) is the same linear recurrence run
-backwards in time, so it goes through the same composition on time-reversed
-arrays, with steps [1, a_bar_{l-1}, ..., a_bar_1] from the carried
-a_bar_l * lam_l. Only there does the op form the ZOH partials dphi/da and
+backwards in time, so it is a reverse loop of two ufunc calls per step,
+lam_t += lam_in; lam_in = a_bar_t * lam_t, from the lam_in carried out of
+the next chunk. Only there does the op form the ZOH partials dphi/da and
 dphi/ddelta = exp(delta*a); its sums over N and E are matmuls or reductions
 over outer axes.
 
 The unfused pieces stay as tested oracles: `zoh_gain`/`discretize_zoh` (the
 discretization as ordinary tape ops), `recurrence_sequential` (a plain loop)
-and `recurrence_chunked` (the same doubling composition the fused op uses).
+and `recurrence_chunked` (the same per-chunk stepping the fused op uses).
 `scan_sequential` chains them into the reference selective scan.
 """
 
@@ -132,59 +137,55 @@ def recurrence_sequential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return h
 
 
-def _compose_chunk(A: np.ndarray, B: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """States of one chunk of h_t = A_t h_{t-1} + B_t entered with `carry`.
+def _step_chunk(A: np.ndarray, B: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """States of one chunk of h_t = A_t h_{t-1} + B_t entered with state `h`.
 
-    (A, B)[t] accumulates the affine map of the chunk's steps up to t through
-    log2(chunk) doubling rounds, overwriting A and B; the maps then apply to
-    the carry, and A holds the result.
+    A and B have time on axis 0, so each step is two in-place ufunc calls over
+    all of the step's lanes, in the arithmetic of `recurrence_sequential`.
+    Overwrites A with the states and returns it.
     """
-    d, n = 1, A.shape[1]
-    while d < n:
-        # numpy buffers overlapping operands, so each right-hand side reads
-        # the A and B of the previous round
-        B[:, d:] += A[:, d:] * B[:, :-d]
-        A[:, d:] *= A[:, :-d]
-        d *= 2
-    A *= carry[:, None]
-    A += B
+    for a_t, b_t in zip(A, B):
+        a_t *= h
+        a_t += b_t
+        h = a_t
     return A
 
 
 def recurrence_chunked(a: np.ndarray, b: np.ndarray, chunk_len: int) -> np.ndarray:
-    """Same recurrence via per-chunk parallel composition plus a carried state.
-
-    With chunk_len = 1 this performs literally the sequential update.
+    """Same recurrence stepped chunk_len steps at a time in the fused op's
+    time-major layout, with the state carried between chunks. Every
+    chunk_len gives the sequential update's result bit for bit.
     """
     if chunk_len < 1:
         raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
     h = np.empty_like(b)
+    a_tm, b_tm, h_tm = (v.swapaxes(0, 1) for v in (a, b, h))
     carry = np.zeros(b.shape[:1] + b.shape[2:], dtype=b.dtype)
     for s in range(0, b.shape[1], chunk_len):
         e = min(s + chunk_len, b.shape[1])
-        h[:, s:e] = _compose_chunk(a[:, s:e].copy(), b[:, s:e].copy(), carry)
-        carry = h[:, e - 1]
+        h_tm[s:e] = _step_chunk(a_tm[s:e].copy(), b_tm[s:e], carry)
+        carry = h_tm[e - 1]
     return h
 
 
 def _first_nonfinite_step(h: np.ndarray) -> int:
+    """First index on axis 0, the time axis, where some state of h is non-finite."""
     bad = ~np.isfinite(h)
-    axes = (0,) + tuple(range(2, h.ndim))
-    return int(np.argmax(bad.any(axis=axes)))
+    return int(np.argmax(bad.reshape(len(h), -1).any(axis=1)))
 
 
-# ---- the fused selective scan, in the (B, l, N, E) layout ------------------------
+# ---- the fused selective scan, in the time-major (l, B, N, E) layout ------------
 
 
 def _sum_states(p: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
-    """Sum p[:, :, lo:lo+n] of a (B, l, N, E) array over N in numpy's order.
+    """Sum p[:, :, lo:lo+n] of an (l, B, N, E) array over N in numpy's order.
 
     numpy sums a contiguous axis pairwise: fewer than 8 terms in sequence; up
     to 128 terms in 8 lanes that take every 8th term, combined as
     ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the leftover terms in sequence;
     longer runs split in two at a multiple of 8. Replaying that order with
     whole-slice adds makes the result bit-equal to `.sum(axis=-1)` of the
-    (B, l, E, N) transpose.
+    array with N moved last. Only N's place as axis 2 matters here.
     """
     n = p.shape[2] if n is None else n
     if n > 128:
@@ -206,15 +207,17 @@ def _sum_states(p: np.ndarray, lo: int = 0, n: int | None = None) -> np.ndarray:
 
 
 def _scan_chunk(x, delta, a_t, b, carry, series, keep=False):
-    """Discretize one chunk and run it from `carry`.
+    """Discretize one chunk and step it from `carry`.
 
-    x and delta are (B, l, E), a_t is a transposed (N, E), b is (B, l, N) and carry
-    (B, N, E). Returns the (B, l, N, E) states, consuming a_bar and phi;
-    with `keep` returns (z, a_bar, phi, h) for backward instead. `series`
-    says some |z| may fall below SERIES_BRANCH, so the series form is checked.
+    x and delta are (l, B, E), a_t is a transposed (N, E), b is (l, B, N) and
+    carry (B, N, E). Returns the (l, B, N, E) states, consuming a_bar and
+    phi; with `keep` returns (z, a_bar, phi, h) for backward instead.
+    `series` says some |z| may fall below SERIES_BRANCH, so the series form
+    is checked.
     """
     d = delta[:, :, None, :]
-    z = d * a_t
+    # delta is a transposed view, so numpy would lay z out batch-major
+    z = np.multiply(d, a_t, order="C")
     if series:
         phi = _zoh_phi(a_t, d, z)
     else:
@@ -224,11 +227,16 @@ def _scan_chunk(x, delta, a_t, b, carry, series, keep=False):
         a_bar = np.exp(z, out=z)
         phi *= b[:, :, :, None]
         phi *= x[:, :, None, :]
-        return _compose_chunk(a_bar, phi, carry)
+        return _step_chunk(a_bar, phi, carry)
     a_bar = np.exp(z)
     bx = phi * b[:, :, :, None]
     bx *= x[:, :, None, :]
-    return z, a_bar, phi, _compose_chunk(a_bar.copy(), bx, carry)
+    return z, a_bar, phi, _step_chunk(a_bar.copy(), bx, carry)
+
+
+def _time_major(v: np.ndarray) -> np.ndarray:
+    """The (L, B, .) view of a (B, L, .) array."""
+    return v.transpose(1, 0, 2)
 
 
 def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
@@ -256,57 +264,54 @@ def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         T._check_same_dtype(x, t, "scan")
     _check_delta(delta.data, "scan")
     inputs = (x, delta, a, b, c)
-    xd, dd, ad, bd, cd = (t.data for t in inputs)
-    a_t = np.ascontiguousarray(ad.T)
+    xd, dd, bd, cd = (_time_major(t.data) for t in (x, delta, b, c))
+    a_t = np.ascontiguousarray(a.data.T)
     # rounding is monotone, so no |z| = delta*|a| is below this product
-    series = bool(dd.min() * np.abs(ad).min() < SERIES_BRANCH)
+    series = bool(dd.min() * np.abs(a_t).min() < SERIES_BRANCH)
     starts = range(0, L, chunk_len)
     # state entering each chunk, kept only when backward can run
     carries = np.empty((len(starts), bsz, N, E), xd.dtype) if T.needs_grad(inputs) else None
-    y = np.empty_like(xd)
+    y = np.empty_like(x.data)
     carry = np.zeros((bsz, N, E), xd.dtype)
     for i, s in enumerate(starts):
         e = min(s + chunk_len, L)
         if carries is not None:
             carries[i] = carry
-        h = _scan_chunk(xd[:, s:e], dd[:, s:e], a_t, bd[:, s:e], carry, series)
+        h = _scan_chunk(xd[s:e], dd[s:e], a_t, bd[s:e], carry, series)
         with np.errstate(invalid="ignore"):
-            y_chunk = _sum_states(h * cd[:, s:e, :, None])
+            y_chunk = _sum_states(h * cd[s:e, :, :, None])
         # a non-finite state always makes its readout non-finite
         if not np.isfinite(y_chunk).all() and not np.isfinite(h).all():
             t = s + _first_nonfinite_step(h)
             raise NumericError(f"scan produced a non-finite state at timestep t={t}")
-        y[:, s:e] = y_chunk
-        carry = h[:, -1]
+        _time_major(y)[s:e] = y_chunk
+        carry = h[-1]
 
     def bwd(gy, xd=xd, dd=dd, a_t=a_t, bd=bd, cd=cd):
-        gy = np.asarray(gy)
-        gx, gd = np.empty_like(xd), np.empty_like(dd)
-        gb, gc = np.empty_like(bd), np.empty_like(cd)
+        gy = _time_major(np.asarray(gy))
+        gx, gd = (np.empty((bsz, L, E), xd.dtype) for _ in range(2))
+        gb, gc = (np.empty((bsz, L, N), xd.dtype) for _ in range(2))
         ga_t = np.zeros_like(a_t)
         ones = np.ones((1, N), xd.dtype)            # sums over N run as matmuls
         lam_in = np.zeros((bsz, N, E), xd.dtype)   # a_bar_{t+1} * lam_{t+1}
         for i in reversed(range(len(starts))):
             s = starts[i]
             e = min(s + chunk_len, L)
-            g, xc, dc, bc = gy[:, s:e], xd[:, s:e], dd[:, s:e], bd[:, s:e]
+            g, xc, dc, bc = gy[s:e], xd[s:e], dd[s:e], bd[s:e]
             z, a_bar, phi, h = _scan_chunk(xc, dc, a_t, bc, carries[i], series, keep=True)
-            gc[:, s:e] = np.matmul(h, g[:, :, :, None])[..., 0]
+            _time_major(gc)[s:e] = np.matmul(h, g[:, :, :, None])[..., 0]
             # lam_t = g_t c_t + a_bar_{t+1} lam_{t+1} is the forward recurrence
-            # run backwards in time: compose it on the reversed chunk with
-            # steps [1, a_bar_{l-1}, ..., a_bar_1] from the carried lam_in
-            steps = np.empty_like(a_bar)
-            steps[:, 0] = 1
-            steps[:, 1:] = a_bar[:, :0:-1]
-            gc_r = cd[:, s:e, :, None][:, ::-1] * g[:, ::-1, None, :]
-            lam = _compose_chunk(steps, gc_r, lam_in)[:, ::-1]
-            lam_in = a_bar[:, 0] * lam[:, 0]
-            h[:, 1:] = h[:, :-1]                        # now h_{t-1}
-            h[:, 0] = carries[i]
+            # run backwards in time from the carried lam_in
+            lam = np.multiply(cd[s:e, :, :, None], g[:, :, None, :], order="C")
+            for a_s, lam_s in zip(a_bar[::-1], lam[::-1]):
+                lam_s += lam_in
+                np.multiply(a_s, lam_s, out=lam_in)
+            h[1:] = h[:-1]  # now h_{t-1}
+            h[0] = carries[i]
             # through bx = phi * b * x
             lp = lam * phi
-            gx[:, s:e] = np.matmul(bc[:, :, None, :], lp)[:, :, 0]
-            gb[:, s:e] = np.matmul(lp, xc[:, :, :, None])[..., 0]
+            _time_major(gx)[s:e] = np.matmul(bc[:, :, None, :], lp)[:, :, 0]
+            _time_major(gb)[s:e] = np.matmul(lp, xc[:, :, :, None])[..., 0]
             gphi = lam * bc[:, :, :, None]
             gphi *= xc[:, :, None, :]
             # through z = delta * a, into a_bar = exp(z) and into phi(a, delta),
@@ -319,7 +324,7 @@ def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
             else:
                 dphi = (d * a_bar - phi) / a_t
             ga_t += (gz * d + gphi * dphi).sum(axis=(0, 1))
-            gd[:, s:e] = np.matmul(ones, gz * a_t + gphi * a_bar)[:, :, 0]
+            _time_major(gd)[s:e] = np.matmul(ones, gz * a_t + gphi * a_bar)[:, :, 0]
         grads = (gx, gd, np.ascontiguousarray(ga_t.T), gb, gc)
         return tuple(g if t.requires_grad else None for g, t in zip(grads, inputs))
 

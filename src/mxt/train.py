@@ -71,6 +71,16 @@ def dataclass_flat(obj) -> dict:
     return out
 
 
+def flat_config(mcfg: ModelConfig, tcfg: TrainConfig, weights: LossWeights, width: str) -> dict:
+    """The flat str->str config of a training run: model.*, train.*, loss.*
+    and width, in the order checkpoint metadata stores them."""
+    flat = {f"model.{k}": v for k, v in mcfg.to_flat().items()}
+    flat.update({f"train.{k}": v for k, v in dataclass_flat(tcfg).items()})
+    flat.update({f"loss.{k}": v for k, v in dataclass_flat(weights).items()})
+    flat["width"] = width
+    return flat
+
+
 def dataclass_unflat(cls, flat: dict):
     names = {f.name: f for f in fields(cls)}
     kwargs = {}
@@ -315,10 +325,7 @@ def hole_l1(state: TrainState, samples) -> float:
 def save_train_state(path: str, state: TrainState) -> None:
     from .checkpoint import save_checkpoint
 
-    meta = {f"model.{k}": v for k, v in state.model.config.to_flat().items()}
-    meta.update({f"train.{k}": v for k, v in dataclass_flat(state.tcfg).items()})
-    meta.update({f"loss.{k}": v for k, v in dataclass_flat(state.weights).items()})
-    meta["width"] = state.width
+    meta = flat_config(state.model.config, state.tcfg, state.weights, state.width)
     meta["step"] = str(state.step)
     meta["opt_g.t"] = str(state.opt_g.t)
     if state.disc is not None:

@@ -227,9 +227,10 @@ def test_scan_float32_bit_equal_to_reference_at_paper_level0():
     assert np.array_equal(got, ref)
 
 
-def unfused_scan_f32(x, p, chunk_len=64):
-    """The level-0 test's reference chain: discretize_zoh, recurrence_chunked
-    and a readout summed over the trailing N axis."""
+def unfused_scan_f32(x, p, recurrence=lambda a, b: S.recurrence_chunked(a, b, 64)):
+    """The level-0 test's reference chain: discretize_zoh, a recurrence kernel
+    (recurrence_chunked by default) and a readout summed over the trailing N
+    axis."""
     bsz, L, E = x.shape
     N = p.state_dim
     with T.no_grad():
@@ -237,7 +238,7 @@ def unfused_scan_f32(x, p, chunk_len=64):
         a_bar, b_bar = S.discretize_zoh(T.reshape(p.decay(), (1, 1, E, N)),
                                         T.reshape(bt, (bsz, L, 1, N)),
                                         T.reshape(delta, (bsz, L, E, 1)))
-        h = S.recurrence_chunked(a_bar.data, b_bar.data * x.data[..., None], chunk_len)
+        h = recurrence(a_bar.data, b_bar.data * x.data[..., None])
         return (h * ct.data[:, :, None, :]).sum(axis=-1)
 
 
@@ -251,6 +252,20 @@ def test_scan_float32_bit_equal_to_reference_at_every_paper_level(E, L):
         got = S.scan_chunked(x, p, chunk_len=64).data
     assert got.dtype == np.float32
     assert np.array_equal(got, unfused_scan_f32(x, p))
+
+
+@pytest.mark.parametrize("chunk_len", [1, 7, 64])
+@pytest.mark.parametrize("B", [1, 2])
+@pytest.mark.parametrize("E,L", [(32, 64 * 64), (64, 32 * 32), (128, 16 * 16), (256, 8 * 8),
+                                 (32, 1000)])
+def test_scan_float32_bit_equal_to_sequential_chain(E, L, B, chunk_len):
+    # the fused op steps every chunk in the sequential update's arithmetic,
+    # so chunk_len sets only the block size, never the rounding
+    p = S.init_ssm_params(E, 8, rng(50 + E), dtype=np.float32)
+    x = Tensor(rng(51).standard_normal((B, L, E)).astype(np.float32))
+    with T.no_grad():
+        got = S.scan_chunked(x, p, chunk_len=chunk_len).data
+    assert np.array_equal(got, unfused_scan_f32(x, p, S.recurrence_sequential))
 
 
 @pytest.mark.parametrize("N", list(range(1, 21)) + [64, 128, 129, 300])
@@ -316,9 +331,11 @@ def test_scan_nonfinite_reports_timestep():
         S.scan_recurrence(*(f64(v) for v in arrays))
 
 
-def test_scan_nonfinite_in_later_chunk_reports_global_timestep():
-    arrays = scan_inputs(L=20)
-    arrays[0][0, 13, 0] = np.nan
+@pytest.mark.parametrize("B,sample", [(1, 0), (2, 1)])
+def test_scan_nonfinite_in_later_chunk_reports_global_timestep(B, sample):
+    # with B = 2 only the second sample goes non-finite
+    arrays = scan_inputs(B=B, L=20)
+    arrays[0][sample, 13, 0] = np.nan
     with pytest.raises(NumericError, match=r"t=13\b"):
         S.scan_recurrence(*(f64(v) for v in arrays), chunk_len=4)
 
