@@ -64,8 +64,8 @@ def _uniform(rng: np.random.Generator | None, shape, k: float, dtype) -> Tensor:
 
 
 class Linear(Module):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, bias: bool = True, dtype=None):
-        dtype = dtype or T.get_default_dtype()
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator, bias: bool = True,
+                 dtype=np.float32):
         k = 1.0 / np.sqrt(cin)
         self.w = _uniform(rng, (cin, cout), k, dtype)
         self.b = _uniform(rng, (cout,), k, dtype) if bias else None
@@ -79,8 +79,7 @@ class LayerNorm(Module):
     """Normalize one axis (the last by default) to zero mean / unit variance,
     then scale+shift."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, axis: int = -1, dtype=None):
-        dtype = dtype or T.get_default_dtype()
+    def __init__(self, dim: int, eps: float = 1e-5, axis: int = -1, dtype=np.float32):
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True, dtype=dtype)
         self._eps = eps
@@ -93,7 +92,7 @@ class LayerNorm(Module):
 class ChannelLayerNorm(Module):
     """LayerNorm over the channel axis of (B, C, H, W)."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, dtype=None):
+    def __init__(self, channels: int, eps: float = 1e-5, dtype=np.float32):
         self.ln = LayerNorm(channels, eps=eps, axis=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -108,8 +107,7 @@ class Conv2d(Module):
     """
 
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, bias: bool = True, dtype=None):
-        dtype = dtype or T.get_default_dtype()
+                 stride: int = 1, pad: int = 0, bias: bool = True, dtype=np.float32):
         fan_in = cin * k * k
         kk = 1.0 / np.sqrt(fan_in)
         self.w = _uniform(rng, (fan_in, cout), kk, dtype)
@@ -124,8 +122,7 @@ class DepthwiseConv2d(Module):
     """Per-channel k x k convolution (stride 1); weight layout (k*k, C)."""
 
     def __init__(self, channels: int, rng: np.random.Generator, k: int = 3,
-                 pad: int = 1, bias: bool = True, dtype=None):
-        dtype = dtype or T.get_default_dtype()
+                 pad: int = 1, bias: bool = True, dtype=np.float32):
         kk = 1.0 / np.sqrt(k * k)
         self.w = _uniform(rng, (k * k, channels), kk, dtype)
         self.b = _uniform(rng, (channels,), kk, dtype) if bias else None
@@ -138,8 +135,7 @@ class DepthwiseConv2d(Module):
 class CausalConv1d(Module):
     """Depthwise causal convolution over (B, L, C): position t sees t-k+1..t."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, k: int = 4, dtype=None):
-        dtype = dtype or T.get_default_dtype()
+    def __init__(self, channels: int, rng: np.random.Generator, k: int = 4, dtype=np.float32):
         kk = 1.0 / np.sqrt(k)
         self.w = _uniform(rng, (k, channels), kk, dtype)
         self.b = _uniform(rng, (channels,), kk, dtype)
@@ -174,7 +170,7 @@ class Srsa(Module):
     """
 
     def __init__(self, channels: int, rng: np.random.Generator, pooled_spatial: int = 8,
-                 heads: int = 1, scale_qk: bool = False, dtype=None):
+                 heads: int = 1, scale_qk: bool = False, dtype=np.float32):
         if channels % heads:
             raise DimensionError(f"channels {channels} not divisible by heads {heads}")
         self.norm = ChannelLayerNorm(channels, dtype=dtype)
@@ -224,8 +220,7 @@ class MambaBlock(Module):
     def __init__(self, channels: int, rng: np.random.Generator, state_dim: int = 8,
                  expand: int = 2, conv_kernel: int = 4, chunk_len: int = 64,
                  use_pe: bool = True, silu_after_conv: bool = False,
-                 use_skip: bool = False, dtype=None):
-        dtype = dtype or T.get_default_dtype()
+                 use_skip: bool = False, dtype=np.float32):
         inner = expand * channels
         self.norm = LayerNorm(channels, dtype=dtype)
         self.inp = Linear(channels, inner, rng, dtype=dtype)
@@ -272,7 +267,7 @@ class Gdfn(Module):
     """
 
     def __init__(self, channels: int, rng: np.random.Generator, expansion: float = 2.66,
-                 context_broadcast: bool = False, dtype=None):
+                 context_broadcast: bool = False, dtype=np.float32):
         hidden = max(channels, int(round(expansion * channels)))
         self.norm = ChannelLayerNorm(channels, dtype=dtype)
         self.expand = Conv2d(channels, 2 * hidden, 1, rng, dtype=dtype)

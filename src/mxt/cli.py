@@ -11,11 +11,12 @@ Configuration is flat ``key=value`` pairs with dotted keys (model.*, train.*,
 loss.*, width). Precedence, lowest to highest: built-in defaults, --config
 file, the MXT_SEED environment variable (train.seed only), then explicit
 flags / --set pairs. The effective configuration is echoed, sorted, before
-training starts.
+training starts. ``train --resume`` takes its configuration from the
+checkpoint and accepts only --iters and --out beside it.
 
 Exit codes: 0 success; 1 usage error; 2 bad data or config (parse errors,
-schema/shape mismatches, missing files); 3 numeric failure (non-finite loss,
-failed gradient check).
+out-of-range values, schema/shape mismatches, missing files); 3 numeric
+failure (non-finite loss, failed gradient check).
 """
 
 from __future__ import annotations
@@ -103,22 +104,25 @@ def _env_seed(env: dict) -> str | None:
 
 def build_configs(flat: dict):
     from .losses import LossWeights
-    from .model import ModelConfig, meta_section
-    from .train import TrainConfig, dataclass_unflat
+    from .model import ModelConfig, decode_config
+    from .train import TrainConfig
 
-    mcfg = ModelConfig.from_flat(meta_section(flat, "model."))
-    tcfg = dataclass_unflat(TrainConfig, meta_section(flat, "train."))
-    weights = dataclass_unflat(LossWeights, meta_section(flat, "loss."))
+    mcfg = decode_config(ModelConfig, flat, "model.")
+    tcfg = decode_config(TrainConfig, flat, "train.")
+    weights = decode_config(LossWeights, flat, "loss.")
     return mcfg, tcfg, weights, flat["width"]
+
+
+# train flags that set one config key each: (argparse dest, key)
+_FLAG_KEYS = (("seed", "train.seed"), ("iters", "train.iters"),
+              ("batch_size", "train.batch_size"), ("lr", "train.lr"),
+              ("synthetic", "train.data_count"), ("image_size", "train.image_size"),
+              ("data_dir", "train.data_dir"), ("width", "width"))
 
 
 def _collect_overrides(args) -> dict:
     overrides = {}
-    for flag, key in (("seed", "train.seed"), ("iters", "train.iters"),
-                      ("batch_size", "train.batch_size"), ("lr", "train.lr"),
-                      ("synthetic", "train.data_count"),
-                      ("image_size", "train.image_size"),
-                      ("data_dir", "train.data_dir"), ("width", "width")):
+    for flag, key in _FLAG_KEYS:
         value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = str(value)
@@ -149,6 +153,13 @@ def cmd_train(args) -> int:
     )
 
     if args.resume:
+        # a resumed run takes its config from the checkpoint; only the step
+        # target (--iters) and the output path may change
+        fresh_only = ["config", "set"] + [d for d, _ in _FLAG_KEYS if d != "iters"]
+        ignored = [f"--{d.replace('_', '-')}" for d in fresh_only if getattr(args, d) is not None]
+        if ignored:
+            raise _UsageError(f"--resume takes its config from the checkpoint; "
+                              f"drop {' '.join(ignored)}")
         state = load_train_state(args.resume)
         if args.iters is not None:
             state.tcfg.iters = args.iters

@@ -353,15 +353,3 @@ def batch_at(samples: list, batch_size: int, seed: int, step: int, dtype=np.floa
     masks = np.stack([samples[i].mask for i in idx]).astype(dtype)
     ins = np.stack([samples[i].i_in for i in idx]).astype(dtype)
     return Batch(i_gt=gts, mask=masks, i_in=ins, indices=idx)
-
-
-def batcher(samples: list, batch_size: int = 4, seed: int = 0, epochs: int | None = None,
-            dtype=np.float32):
-    """Yield deterministic Batches; one shuffle per epoch, partial tail kept."""
-    if not samples:
-        raise ContractError("empty dataset")
-    per_epoch = (len(samples) + batch_size - 1) // batch_size
-    step = 0
-    while epochs is None or step < epochs * per_epoch:
-        yield batch_at(samples, batch_size, seed, step, dtype=dtype)
-        step += 1

@@ -38,7 +38,7 @@ class FeatureExtractor(Module):
     """Four stride-2 conv+relu stages; forward returns all four feature maps."""
 
     def __init__(self, in_channels: int = 3, widths=(16, 32, 64, 128),
-                 seed: int = EXTRACTOR_SEED, dtype=None):
+                 seed: int = EXTRACTOR_SEED, dtype=np.float32):
         rng = np.random.default_rng(seed)
         self.stages = []
         cin = in_channels
@@ -59,7 +59,7 @@ class PatchDiscriminator(Module):
     """Stride-2 conv stack ending in a 1x1 logit map over patches."""
 
     def __init__(self, rng: np.random.Generator | None, in_channels: int = 3,
-                 widths=(32, 64, 128), dtype=None):
+                 widths=(32, 64, 128), dtype=np.float32):
         self.stages = []
         cin = in_channels
         for cout in widths:

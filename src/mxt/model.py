@@ -14,7 +14,8 @@ concat + 1x1 conv, then run their own hybrid stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,56 +52,22 @@ class ModelConfig:
             raise ContractError(f"hm_counts must have odd length, got {self.hm_counts}")
         if any(c < 0 for c in self.hm_counts):
             raise ContractError("hm_counts entries must be >= 0")
+        for name in ("base_channels", "state_dim", "pooled_spatial", "heads", "expand",
+                     "conv_kernel", "scan_chunk", "input_channels", "output_channels"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def levels(self) -> int:
         """Number of down/up steps (3 for the default 7-stage layout)."""
         return (len(self.hm_counts) - 1) // 2
 
-    def to_flat(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, tuple):
-                out[f.name] = ",".join(str(c) for c in v)
-            elif isinstance(v, bool):
-                out[f.name] = "true" if v else "false"
-            else:
-                out[f.name] = repr(v) if isinstance(v, float) else str(v)
-        return out
-
-    @classmethod
-    def from_flat(cls, flat: dict) -> "ModelConfig":
-        kwargs = {}
-        names = {f.name: f for f in fields(cls)}
-        for key, raw in flat.items():
-            if key not in names:
-                raise ContractError(f"unknown model config key {key!r}")
-            default = names[key].default
-            try:
-                if key == "hm_counts":
-                    kwargs[key] = tuple(int(c) for c in str(raw).split(",") if c != "")
-                elif isinstance(default, bool):
-                    if str(raw).lower() not in ("true", "false", "1", "0"):
-                        raise ContractError(f"bad boolean {raw!r} for {key}")
-                    kwargs[key] = str(raw).lower() in ("true", "1")
-                elif isinstance(default, int):
-                    kwargs[key] = int(raw)
-                elif isinstance(default, float):
-                    kwargs[key] = float(raw)
-                else:
-                    kwargs[key] = raw
-            except ValueError as err:
-                if isinstance(err, ContractError):
-                    raise
-                raise ContractError(f"bad value {raw!r} for {key}")
-        return cls(**kwargs)
-
 
 class HybridModule(Module):
     """SRSA -> Mamba -> gated FFN, each sub-block behind its own residual."""
 
-    def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator, dtype=None):
+    def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator,
+                 dtype=np.float32):
         # the enabled sub-blocks in order; the underscore keeps the list out
         # of parameter traversal, so names stay srsa.*, mamba.*, ffn.*
         self._blocks = []
@@ -130,7 +97,7 @@ class Stage(Module):
     """A stack of hybrid modules at one resolution."""
 
     def __init__(self, channels: int, count: int, cfg: ModelConfig,
-                 rng: np.random.Generator, dtype=None):
+                 rng: np.random.Generator, dtype=np.float32):
         self.blocks = [HybridModule(channels, cfg, rng, dtype=dtype) for _ in range(count)]
 
     def forward(self, x: Tensor) -> Tensor:
@@ -143,8 +110,8 @@ class MxT(Module):
     """The U-Net. With rng None its weights are left uninitialized, for a
     model whose every weight is loaded next (see restore_model)."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None, dtype=None):
-        dtype = dtype or T.get_default_dtype()
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None,
+                 dtype=np.float32):
         self._cfg = cfg
         base = cfg.base_channels
         lv = cfg.levels
@@ -189,16 +156,15 @@ class MxT(Module):
         return (T.tanh(y) + 1.0) * 0.5
 
 
-def prepare_input(i_gt: np.ndarray, mask: np.ndarray, dtype=None) -> np.ndarray:
+def prepare_input(i_gt: np.ndarray, mask: np.ndarray, dtype=np.float32) -> np.ndarray:
     """(3,H,W) image in [0,1] + (1,H,W) mask (1 = hole) -> (4,H,W) model input:
     the masked image with the mask appended."""
     if i_gt.ndim != 3 or mask.ndim != 3 or mask.shape[0] != 1:
         raise DimensionError(f"prepare_input: got {i_gt.shape}, {mask.shape}")
     if i_gt.shape[1:] != mask.shape[1:]:
         raise DimensionError(f"image {i_gt.shape} vs mask {mask.shape}")
-    dt = dtype or T.get_default_dtype()
     masked = i_gt * (1.0 - mask)
-    return np.concatenate([masked, mask], axis=0).astype(dt)
+    return np.concatenate([masked, mask], axis=0).astype(dtype)
 
 
 def composite(out: np.ndarray, i_gt: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -275,13 +241,6 @@ def tiled_inference(model: MxT, i_in: np.ndarray, tile: int = 0, overlap: int = 
     return out / acc
 
 
-def ablation_variant(cfg: ModelConfig, mamba: bool, srsa: bool, ffn: bool = True,
-                     cbfn: bool | None = None) -> ModelConfig:
-    """Convenience for the sub-block on/off grid."""
-    return replace(cfg, enable_mamba=mamba, enable_srsa=srsa, enable_ffn=ffn,
-                   use_cbfn=cfg.use_cbfn if cbfn is None else cbfn)
-
-
 # ---- persistence ---------------------------------------------------------------
 
 # the one width <-> dtype table: checkpoints, training state and the CLI
@@ -292,15 +251,70 @@ def width_of(dtype) -> str:
     return next(w for w, dt in WIDTHS.items() if dt == dtype)
 
 
-def meta_section(meta: dict, prefix: str) -> dict:
-    """The entries of a flat str->str mapping under prefix, prefix removed."""
-    return {k[len(prefix):]: v for k, v in meta.items() if k.startswith(prefix)}
+# the one config codec: a config dataclass (ModelConfig, TrainConfig,
+# LossWeights) as flat str -> str pairs, for checkpoint metadata, config files
+# and --set flags. A value is read by the type of its field's default: bools as
+# true/false (or 1/0), floats by repr and finite only, tuples as comma lists of
+# ints.
+
+
+def encode_config(cfg, prefix: str = "") -> dict:
+    """The fields of a config dataclass as prefix+name -> text, in field order."""
+    out = {}
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, tuple):
+            text = ",".join(str(c) for c in v)
+        elif isinstance(v, bool):
+            text = "true" if v else "false"
+        elif isinstance(v, float):
+            text = repr(v)
+        else:
+            text = str(v)
+        out[prefix + f.name] = text
+    return out
+
+
+def decode_config(cls, flat: dict, prefix: str = ""):
+    """Build cls from the entries of flat under prefix (others are ignored);
+    fields with no entry keep their defaults. An unknown key, a value that
+    does not parse or a non-finite float is a ContractError."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for key, raw in flat.items():
+        if not key.startswith(prefix):
+            continue
+        name = key[len(prefix):]
+        if name not in defaults:
+            raise ContractError(f"unknown {cls.__name__} key {key!r}")
+        kwargs[name] = _decode_value(defaults[name], str(raw), key)
+    return cls(**kwargs)
+
+
+def _decode_value(default, raw: str, key: str):
+    if isinstance(default, bool):
+        if raw.lower() not in ("true", "false", "1", "0"):
+            raise ContractError(f"bad boolean {raw!r} for {key}")
+        return raw.lower() in ("true", "1")
+    if isinstance(default, str):
+        return raw
+    try:
+        if isinstance(default, tuple):
+            return tuple(int(c) for c in raw.split(",") if c != "")
+        if isinstance(default, int):
+            return int(raw)
+        value = float(raw)
+    except ValueError:
+        raise ContractError(f"bad value {raw!r} for {key}") from None
+    if not math.isfinite(value):
+        raise ContractError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def save_model(path: str, model: MxT, extra_meta: dict | None = None) -> None:
     from .checkpoint import save_checkpoint
 
-    meta = {f"model.{k}": v for k, v in model.config.to_flat().items()}
+    meta = encode_config(model.config, "model.")
     meta["width"] = width_of(model.embed.w.data.dtype)
     meta.update(extra_meta or {})
     tensors = {f"model.{n}": p.data for n, p in model.named_parameters()}
@@ -317,7 +331,7 @@ def restore_model(path: str):
     meta, tensors = load_checkpoint(path)
     if meta.get("width") not in WIDTHS:
         raise SchemaError(f"{path}: missing or bad width {meta.get('width')!r}")
-    cfg = ModelConfig.from_flat(meta_section(meta, "model."))
+    cfg = decode_config(ModelConfig, meta, "model.")
     model = MxT(cfg, None, dtype=WIDTHS[meta["width"]])
     load_weights(model, tensors, prefix="model.", path=path)
     return model, meta, tensors

@@ -372,16 +372,15 @@ class SsmParams:
 
 
 def init_ssm_params(channels: int, state_dim: int, rng: np.random.Generator | None,
-                    dtype=None, use_skip: bool = False) -> SsmParams:
+                    dtype=np.float32, use_skip: bool = False) -> SsmParams:
     """Draw initial weights: a in [1, 16] pre-log, delta bias giving softplus
     outputs in [1e-3, 1e-1], small uniform projections. With rng None the
     weights are left uninitialized, for a model whose every weight is loaded
     next."""
-    dt = dtype or T.get_default_dtype()
-    mk = lambda arr: Tensor(arr.astype(dt, copy=False), requires_grad=True, dtype=dt)
+    mk = lambda arr: Tensor(arr.astype(dtype, copy=False), requires_grad=True, dtype=dtype)
     e, n = channels, state_dim
     if rng is None:
-        p = SsmParams(*(mk(np.empty(shape, dt)) for shape in ((e, n), (e, e), (e,), (e, n), (e, n))))
+        p = SsmParams(*(mk(np.empty(shape, dtype)) for shape in ((e, n), (e, e), (e,), (e, n), (e, n))))
     else:
         a0 = np.log(rng.uniform(1.0, 16.0, (e, n)))
         target_dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), e))

@@ -6,9 +6,11 @@ list, recorded in execution order, which is already topologically sorted).
 dict keyed by tensor identity, so fan-out is handled by plain addition and a
 second ``backward`` call accumulates on top of existing leaf ``.grad``s.
 
-Two float widths exist: float32 (standard) and float64 (wide). Mixing them in
-one op is an error rather than an implicit promotion; python scalars adopt the
-tensor's width.
+Two float widths exist: float32 (standard) and float64 (wide). float32 is
+the fixed default: layers are float64 only when built with
+``dtype=np.float64``, and ``Tensor`` keeps the width of float input and makes
+any other input float32. Mixing widths in one op is an error rather than an
+implicit promotion; python scalars adopt the tensor's width.
 """
 
 from __future__ import annotations
@@ -32,32 +34,6 @@ class NumericError(ArithmeticError):
 
 
 _ALLOWED = (np.float32, np.float64)
-
-_default_dtype = np.float32
-
-
-def set_default_dtype(dtype) -> None:
-    global _default_dtype
-    dtype = np.dtype(dtype).type
-    if dtype not in _ALLOWED:
-        raise ContractError(f"unsupported width {dtype}; use float32 or float64")
-    _default_dtype = dtype
-
-
-def get_default_dtype():
-    return _default_dtype
-
-
-@contextlib.contextmanager
-def default_dtype(dtype):
-    """Temporarily switch the dtype new tensors default to."""
-    old = _default_dtype
-    set_default_dtype(dtype)
-    try:
-        yield
-    finally:
-        set_default_dtype(old)
-
 
 class Node:
     """One recorded op: output tensor, input tensors, and a backward closure.
@@ -140,7 +116,7 @@ class Tensor:
         if dtype is None:
             arr = np.asarray(data)
             if arr.dtype.type not in _ALLOWED:
-                arr = arr.astype(_default_dtype)
+                arr = arr.astype(np.float32)
         else:
             dtype = np.dtype(dtype).type
             if dtype not in _ALLOWED:
@@ -1005,18 +981,3 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
         return gx, ggamma, gbeta
 
     return _make(out, (x, gamma, beta), bwd)
-
-
-# ---- constructors ----------------------------------------------------------------
-
-
-def zeros(shape, dtype=None, requires_grad=False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype or _default_dtype), requires_grad=requires_grad)
-
-
-def ones(shape, dtype=None, requires_grad=False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype or _default_dtype), requires_grad=requires_grad)
-
-
-def full(shape, value, dtype=None, requires_grad=False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype or _default_dtype), requires_grad=requires_grad)

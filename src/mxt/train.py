@@ -9,7 +9,7 @@ is never serialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from .losses import (
     generator_loss,
     masked_l1,
 )
-from .model import WIDTHS, ModelConfig, MxT, load_weights, meta_section, restore_model, width_of
+from .model import (WIDTHS, ModelConfig, MxT, decode_config, encode_config, load_weights,
+                    restore_model, width_of)
 from .tensor import ContractError, NumericError, Tape, Tensor, no_grad
 
 # fixed stream ids so model/disc init never collide with batch shuffling
@@ -53,59 +54,26 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ContractError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
+        # written as "not in range" so that nan fails too
+        if not self.lr > 0:
             raise ContractError(f"lr must be positive, got {self.lr}")
-
-
-def dataclass_flat(obj) -> dict:
-    """Flatten a simple dataclass to str->str (bools as true/false)."""
-    out = {}
-    for f in fields(obj):
-        v = getattr(obj, f.name)
-        if isinstance(v, bool):
-            out[f.name] = "true" if v else "false"
-        elif isinstance(v, float):
-            out[f.name] = repr(v)
-        else:
-            out[f.name] = str(v)
-    return out
+        if not self.eps > 0:
+            raise ContractError(f"eps must be positive, got {self.eps}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.image_size < 1:
+            raise ContractError(f"image_size must be >= 1, got {self.image_size}")
 
 
 def flat_config(mcfg: ModelConfig, tcfg: TrainConfig, weights: LossWeights, width: str) -> dict:
     """The flat str->str config of a training run: model.*, train.*, loss.*
     and width, in the order checkpoint metadata stores them."""
-    flat = {f"model.{k}": v for k, v in mcfg.to_flat().items()}
-    flat.update({f"train.{k}": v for k, v in dataclass_flat(tcfg).items()})
-    flat.update({f"loss.{k}": v for k, v in dataclass_flat(weights).items()})
+    flat = encode_config(mcfg, "model.")
+    flat.update(encode_config(tcfg, "train."))
+    flat.update(encode_config(weights, "loss."))
     flat["width"] = width
     return flat
-
-
-def dataclass_unflat(cls, flat: dict):
-    names = {f.name: f for f in fields(cls)}
-    kwargs = {}
-    for key, raw in flat.items():
-        if key not in names:
-            raise ContractError(f"unknown {cls.__name__} key {key!r}")
-        default = names[key].default
-        if isinstance(default, bool):
-            if str(raw).lower() not in ("true", "false", "1", "0"):
-                raise ContractError(f"bad boolean {raw!r} for {key}")
-            kwargs[key] = str(raw).lower() in ("true", "1")
-        elif isinstance(default, int):
-            kwargs[key] = _cast(int, raw, key)
-        elif isinstance(default, float):
-            kwargs[key] = _cast(float, raw, key)
-        else:
-            kwargs[key] = str(raw)
-    return cls(**kwargs)
-
-
-def _cast(kind, raw, key):
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ContractError(f"bad {kind.__name__} {raw!r} for {key}")
 
 
 class Adam(object):
@@ -354,8 +322,8 @@ def load_train_state(path: str) -> TrainState:
     from .checkpoint import SchemaError
 
     model, meta, tensors = restore_model(path)
-    tcfg = dataclass_unflat(TrainConfig, meta_section(meta, "train."))
-    weights = dataclass_unflat(LossWeights, meta_section(meta, "loss."))
+    tcfg = decode_config(TrainConfig, meta, "train.")
+    weights = decode_config(LossWeights, meta, "loss.")
     state = _assemble_state(model, tcfg, weights, disc_rng=None)
     unused = sorted(set(tensors) - set(_state_tensors(state)))
     if unused:

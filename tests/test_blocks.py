@@ -14,10 +14,6 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def f64():
-    return T.default_dtype(np.float64)
-
-
 # ---- naive conv oracles ------------------------------------------------------
 
 
@@ -65,28 +61,25 @@ def depthwise_oracle(x, w, b, k, pad):
 
 @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 1), (1, 0)])
 def test_conv2d_matches_oracle(stride, pad):
-    with f64():
-        conv = B.Conv2d(3, 5, 3, rng(1), stride=stride, pad=pad)
-        x = rng(2).standard_normal((2, 3, 6, 7))
-        got = conv(Tensor(x, dtype=np.float64)).data
+    conv = B.Conv2d(3, 5, 3, rng(1), stride=stride, pad=pad, dtype=np.float64)
+    x = rng(2).standard_normal((2, 3, 6, 7))
+    got = conv(Tensor(x, dtype=np.float64)).data
     ref = conv2d_oracle(x, conv.w.data, conv.b.data, 3, stride, pad)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
 def test_conv1x1_matches_oracle():
-    with f64():
-        conv = B.Conv2d(4, 2, 1, rng(3))
-        x = rng(4).standard_normal((1, 4, 5, 5))
-        got = conv(Tensor(x, dtype=np.float64)).data
+    conv = B.Conv2d(4, 2, 1, rng(3), dtype=np.float64)
+    x = rng(4).standard_normal((1, 4, 5, 5))
+    got = conv(Tensor(x, dtype=np.float64)).data
     ref = conv2d_oracle(x, conv.w.data, conv.b.data, 1, 1, 0)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
 def test_depthwise_matches_oracle():
-    with f64():
-        conv = B.DepthwiseConv2d(4, rng(5))
-        x = rng(6).standard_normal((2, 4, 5, 6))
-        got = conv(Tensor(x, dtype=np.float64)).data
+    conv = B.DepthwiseConv2d(4, rng(5), dtype=np.float64)
+    x = rng(6).standard_normal((2, 4, 5, 6))
+    got = conv(Tensor(x, dtype=np.float64)).data
     ref = depthwise_oracle(x, conv.w.data, conv.b.data, 3, 1)
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
@@ -112,13 +105,12 @@ def test_depthwise_plane_blocks_do_not_change_values(monkeypatch):
 
 
 def test_causal_conv1d_is_causal_and_correct():
-    with f64():
-        conv = B.CausalConv1d(3, rng(7), k=4)
-        x = rng(8).standard_normal((1, 10, 3))
-        y0 = conv(Tensor(x, dtype=np.float64)).data
-        x2 = x.copy()
-        x2[0, 6] += 5.0
-        y1 = conv(Tensor(x2, dtype=np.float64)).data
+    conv = B.CausalConv1d(3, rng(7), k=4, dtype=np.float64)
+    x = rng(8).standard_normal((1, 10, 3))
+    y0 = conv(Tensor(x, dtype=np.float64)).data
+    x2 = x.copy()
+    x2[0, 6] += 5.0
+    y1 = conv(Tensor(x2, dtype=np.float64)).data
     np.testing.assert_array_equal(y0[:, :6], y1[:, :6])
     # position t = weighted sum of x[t-3..t]
     xp = np.concatenate([np.zeros((1, 3, 3)), x], axis=1)
@@ -128,10 +120,9 @@ def test_causal_conv1d_is_causal_and_correct():
 
 
 def test_layernorm_normalizes_last_axis():
-    with f64():
-        ln = B.LayerNorm(8)
-        x = rng(9).standard_normal((4, 8)) * 3 + 2
-        y = ln(Tensor(x, dtype=np.float64)).data
+    ln = B.LayerNorm(8, dtype=np.float64)
+    x = rng(9).standard_normal((4, 8)) * 3 + 2
+    y = ln(Tensor(x, dtype=np.float64)).data
     np.testing.assert_allclose(y.mean(axis=-1), 0, atol=1e-12)
     np.testing.assert_allclose(y.std(axis=-1), 1, atol=1e-4)  # eps shifts slightly
 
@@ -155,53 +146,48 @@ def test_positional_encoding_values():
 
 
 def test_srsa_shape_and_token_count():
-    with f64():
-        srsa = B.Srsa(8, rng(10), pooled_spatial=8)
-        for side in (16, 32):
-            x = Tensor(rng(11).standard_normal((1, 8, side, side)), dtype=np.float64)
-            y = srsa(x)
-            assert y.shape == (1, 8, side, side)
-            att = srsa.attention_map(x)
-            assert att.shape[-1] == 64  # pooled token count fixed by config
-            np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-6)
+    srsa = B.Srsa(8, rng(10), pooled_spatial=8, dtype=np.float64)
+    for side in (16, 32):
+        x = Tensor(rng(11).standard_normal((1, 8, side, side)), dtype=np.float64)
+        y = srsa(x)
+        assert y.shape == (1, 8, side, side)
+        att = srsa.attention_map(x)
+        assert att.shape[-1] == 64  # pooled token count fixed by config
+        np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_srsa_pool_smaller_input_than_grid():
-    with f64():
-        srsa = B.Srsa(4, rng(12), pooled_spatial=8)
-        x = Tensor(rng(13).standard_normal((1, 4, 4, 4)), dtype=np.float64)
-        att = srsa.attention_map(x)
+    srsa = B.Srsa(4, rng(12), pooled_spatial=8, dtype=np.float64)
+    x = Tensor(rng(13).standard_normal((1, 4, 4, 4)), dtype=np.float64)
+    att = srsa.attention_map(x)
     assert att.shape[-1] == 64
     np.testing.assert_allclose(att.data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_srsa_heads_split():
-    with f64():
-        srsa = B.Srsa(8, rng(14), pooled_spatial=2, heads=2)
-        y = srsa(Tensor(rng(15).standard_normal((2, 8, 6, 6)), dtype=np.float64))
+    srsa = B.Srsa(8, rng(14), pooled_spatial=2, heads=2, dtype=np.float64)
+    y = srsa(Tensor(rng(15).standard_normal((2, 8, 6, 6)), dtype=np.float64))
     assert y.shape == (2, 8, 6, 6)
     with pytest.raises(T.DimensionError):
         B.Srsa(6, rng(16), heads=4)
 
 
 def test_srsa_qk_scale_flag_changes_output():
-    with f64():
-        a = B.Srsa(4, rng(17), pooled_spatial=2, scale_qk=False)
-        b = B.Srsa(4, rng(17), pooled_spatial=2, scale_qk=True)
-        x = Tensor(rng(18).standard_normal((1, 4, 5, 5)), dtype=np.float64)
-        ya, yb = a(x), b(x)
+    a = B.Srsa(4, rng(17), pooled_spatial=2, scale_qk=False, dtype=np.float64)
+    b = B.Srsa(4, rng(17), pooled_spatial=2, scale_qk=True, dtype=np.float64)
+    x = Tensor(rng(18).standard_normal((1, 4, 5, 5)), dtype=np.float64)
+    ya, yb = a(x), b(x)
     assert np.abs(ya.data - yb.data).max() > 1e-9
 
 
 def test_srsa_forward_is_local_plus_attention_map_times_pooled_values():
     # two heads: channel d of head j is j*dh + d in both v and the output
-    with f64():
-        srsa = B.Srsa(8, rng(21), pooled_spatial=2, heads=2)
-        x = Tensor(rng(22).standard_normal((2, 8, 6, 6)), dtype=np.float64)
-        y = srsa(x).data
-        att = srsa.attention_map(x).data                       # (B, heads, HW, 4)
-        v = srsa.qkv_dw(srsa.qkv(srsa.norm(x))).data[:, 16:]   # (B, C, H, W)
-        local = srsa.local(Tensor(v, dtype=np.float64)).data
+    srsa = B.Srsa(8, rng(21), pooled_spatial=2, heads=2, dtype=np.float64)
+    x = Tensor(rng(22).standard_normal((2, 8, 6, 6)), dtype=np.float64)
+    y = srsa(x).data
+    att = srsa.attention_map(x).data                       # (B, heads, HW, 4)
+    v = srsa.qkv_dw(srsa.qkv(srsa.norm(x))).data[:, 16:]   # (B, C, H, W)
+    local = srsa.local(Tensor(v, dtype=np.float64)).data
     vp = v.reshape(2, 2, 4, 2, 3, 2, 3).mean(axis=(4, 6)).reshape(2, 2, 4, 4)
     ctx = att @ vp.transpose(0, 1, 3, 2)                       # (B, heads, HW, dh)
     np.testing.assert_allclose(y, local + ctx.transpose(0, 1, 3, 2).reshape(2, 8, 6, 6),
@@ -209,9 +195,8 @@ def test_srsa_forward_is_local_plus_attention_map_times_pooled_values():
 
 
 def test_srsa_gradients():
-    with f64():
-        srsa = B.Srsa(2, rng(19), pooled_spatial=2)
-        report = check_module_gradients(srsa, rng(20).standard_normal((1, 2, 4, 4)))
+    srsa = B.Srsa(2, rng(19), pooled_spatial=2, dtype=np.float64)
+    report = check_module_gradients(srsa, rng(20).standard_normal((1, 2, 4, 4)))
     assert report["worst"] < 1e-5, report
 
 
@@ -219,16 +204,15 @@ def test_srsa_gradients():
 
 
 def test_mamba_block_shape_and_causality():
-    with f64():
-        mb = B.MambaBlock(3, rng(21), state_dim=2, use_pe=False)
-        x = rng(22).standard_normal((1, 3, 4, 5))
-        y0 = mb(Tensor(x, dtype=np.float64)).data
-        assert y0.shape == (1, 3, 4, 5)
-        x2 = x.copy()
-        # one channel of the last raster pixel (an all-channel shift would sit
-        # in the layer norm's null space and vanish)
-        x2[0, 1, 3, 4] += 7.0
-        y1 = mb(Tensor(x2, dtype=np.float64)).data
+    mb = B.MambaBlock(3, rng(21), state_dim=2, use_pe=False, dtype=np.float64)
+    x = rng(22).standard_normal((1, 3, 4, 5))
+    y0 = mb(Tensor(x, dtype=np.float64)).data
+    assert y0.shape == (1, 3, 4, 5)
+    x2 = x.copy()
+    # one channel of the last raster pixel (an all-channel shift would sit
+    # in the layer norm's null space and vanish)
+    x2[0, 1, 3, 4] += 7.0
+    y1 = mb(Tensor(x2, dtype=np.float64)).data
     flat0 = y0.reshape(1, 3, -1)
     flat1 = y1.reshape(1, 3, -1)
     np.testing.assert_array_equal(flat0[..., :-1], flat1[..., :-1])
@@ -236,22 +220,20 @@ def test_mamba_block_shape_and_causality():
 
 
 def test_mamba_block_pe_toggle():
-    with f64():
-        kw = dict(state_dim=2, chunk_len=8)
-        on = B.MambaBlock(4, rng(23), use_pe=True, **kw)
-        off = B.MambaBlock(4, rng(23), use_pe=False, **kw)
-        x = Tensor(rng(24).standard_normal((1, 4, 3, 3)), dtype=np.float64)
-        assert np.abs(on(x).data - off(x).data).max() > 1e-9
+    kw = dict(state_dim=2, chunk_len=8, dtype=np.float64)
+    on = B.MambaBlock(4, rng(23), use_pe=True, **kw)
+    off = B.MambaBlock(4, rng(23), use_pe=False, **kw)
+    x = Tensor(rng(24).standard_normal((1, 4, 3, 3)), dtype=np.float64)
+    assert np.abs(on(x).data - off(x).data).max() > 1e-9
 
 
 def test_mamba_block_scan_modes_agree(monkeypatch):
     # the block's fused scan against the sequential reference scan
-    with f64():
-        mb = B.MambaBlock(3, rng(25), state_dim=2, chunk_len=4)
-        x = Tensor(rng(26).standard_normal((2, 3, 4, 4)), dtype=np.float64)
-        yc = mb(x).data
-        monkeypatch.setattr(B, "scan_chunked", lambda t, p, chunk_len: S.scan_sequential(t, p))
-        ys = mb(x).data
+    mb = B.MambaBlock(3, rng(25), state_dim=2, chunk_len=4, dtype=np.float64)
+    x = Tensor(rng(26).standard_normal((2, 3, 4, 4)), dtype=np.float64)
+    yc = mb(x).data
+    monkeypatch.setattr(B, "scan_chunked", lambda t, p, chunk_len: S.scan_sequential(t, p))
+    ys = mb(x).data
     np.testing.assert_allclose(yc, ys, rtol=1e-11, atol=1e-13)
 
 
@@ -268,9 +250,8 @@ def test_mamba_block_tape_holds_no_state_sized_output():
 
 
 def test_mamba_block_gradients():
-    with f64():
-        mb = B.MambaBlock(2, rng(27), state_dim=2, expand=2, chunk_len=4)
-        report = check_module_gradients(mb, rng(28).standard_normal((1, 2, 4, 4)))
+    mb = B.MambaBlock(2, rng(27), state_dim=2, expand=2, chunk_len=4, dtype=np.float64)
+    report = check_module_gradients(mb, rng(28).standard_normal((1, 2, 4, 4)))
     assert report["worst"] < 1e-5, report
 
 
@@ -278,26 +259,23 @@ def test_mamba_block_gradients():
 
 
 def test_gdfn_hidden_width_rule():
-    with f64():
-        g = B.Gdfn(16, rng(29))
-        assert g._hidden == round(2.66 * 16)
-        tiny = B.Gdfn(2, rng(30))
-        assert tiny._hidden >= 2
+    g = B.Gdfn(16, rng(29), dtype=np.float64)
+    assert g._hidden == round(2.66 * 16)
+    tiny = B.Gdfn(2, rng(30), dtype=np.float64)
+    assert tiny._hidden >= 2
 
 
 def test_gdfn_shape():
-    with f64():
-        g = B.Gdfn(4, rng(31))
-        y = g(Tensor(rng(32).standard_normal((2, 4, 6, 6)), dtype=np.float64))
+    g = B.Gdfn(4, rng(31), dtype=np.float64)
+    y = g(Tensor(rng(32).standard_normal((2, 4, 6, 6)), dtype=np.float64))
     assert y.shape == (2, 4, 6, 6)
 
 
 def test_cbfn_minus_gdfn_is_spatially_constant():
-    with f64():
-        plain = B.Gdfn(4, rng(33), context_broadcast=False)
-        cb = B.Gdfn(4, rng(33), context_broadcast=True)  # same seed, same weights
-        x = Tensor(rng(34).standard_normal((2, 4, 8, 8)), dtype=np.float64)
-        diff = cb(x).data - plain(x).data
+    plain = B.Gdfn(4, rng(33), context_broadcast=False, dtype=np.float64)
+    cb = B.Gdfn(4, rng(33), context_broadcast=True, dtype=np.float64)  # same seed, same weights
+    x = Tensor(rng(34).standard_normal((2, 4, 8, 8)), dtype=np.float64)
+    diff = cb(x).data - plain(x).data
     spread = diff.max(axis=(2, 3)) - diff.min(axis=(2, 3))
     assert spread.max() < 1e-6
     # and the constant equals the spatial mean of the plain output
@@ -305,17 +283,15 @@ def test_cbfn_minus_gdfn_is_spatially_constant():
 
 
 def test_gdfn_and_cbfn_gradients():
-    with f64():
-        for flag in (False, True):
-            g = B.Gdfn(2, rng(35), context_broadcast=flag)
-            report = check_module_gradients(g, rng(36).standard_normal((1, 2, 4, 4)))
-            assert report["worst"] < 1e-5, (flag, report)
+    for flag in (False, True):
+        g = B.Gdfn(2, rng(35), context_broadcast=flag, dtype=np.float64)
+        report = check_module_gradients(g, rng(36).standard_normal((1, 2, 4, 4)))
+        assert report["worst"] < 1e-5, (flag, report)
 
 
 def test_layernorm_gradients():
-    with f64():
-        ln = B.LayerNorm(3)
-        report = check_module_gradients(ln, rng(37).standard_normal((2, 5, 3)))
+    ln = B.LayerNorm(3, dtype=np.float64)
+    report = check_module_gradients(ln, rng(37).standard_normal((2, 5, 3)))
     assert report["worst"] < 1e-5, report
 
 
@@ -351,9 +327,8 @@ def test_sub_block_tape_budget():
 
 
 def test_named_parameters_deterministic_and_skips_private():
-    with f64():
-        mb = B.MambaBlock(3, rng(38), state_dim=2)
-        names = [n for n, _ in mb.named_parameters()]
+    mb = B.MambaBlock(3, rng(38), state_dim=2, dtype=np.float64)
+    names = [n for n, _ in mb.named_parameters()]
     assert names == [n for n, _ in mb.named_parameters()]
     assert all(not n.startswith("_") for n in names)
     assert "norm.gamma" in names
@@ -362,6 +337,5 @@ def test_named_parameters_deterministic_and_skips_private():
 
 
 def test_param_count_counts_everything():
-    with f64():
-        lin = B.Linear(3, 4, rng(39))
+    lin = B.Linear(3, 4, rng(39), dtype=np.float64)
     assert lin.param_count() == 3 * 4 + 4

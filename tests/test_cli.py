@@ -7,6 +7,7 @@ import pytest
 
 from mxt.cli import (
     build_configs,
+    default_flat,
     effective_config,
     main,
     scan_time_ratio,
@@ -62,6 +63,27 @@ def test_config_rejects_unknown_keys_and_bad_env(tmp_path):
         effective_config(None, {}, {"width": "double"})
 
 
+def test_default_flat_is_pinned():
+    # the exact strings and order checkpoint metadata has always stored
+    assert list(default_flat().items()) == [
+        ("model.base_channels", "16"), ("model.hm_counts", "4,6,6,8,6,6,4"),
+        ("model.state_dim", "8"), ("model.pooled_spatial", "8"), ("model.heads", "1"),
+        ("model.expand", "2"), ("model.conv_kernel", "4"), ("model.gdfn_expansion", "2.66"),
+        ("model.scan_chunk", "64"), ("model.input_channels", "4"),
+        ("model.output_channels", "3"), ("model.enable_mamba", "true"),
+        ("model.enable_srsa", "true"), ("model.enable_ffn", "true"),
+        ("model.use_cbfn", "true"), ("model.use_pe", "true"), ("model.scale_qk", "false"),
+        ("model.silu_after_conv", "false"), ("model.use_skip_d", "false"),
+        ("train.lr", "0.0001"), ("train.beta1", "0.9"), ("train.beta2", "0.999"),
+        ("train.eps", "1e-08"), ("train.batch_size", "2"), ("train.seed", "0"),
+        ("train.iters", "2000"), ("train.log_every", "50"), ("train.checkpoint_every", "0"),
+        ("train.data_dir", ""), ("train.data_count", "8"), ("train.image_size", "32"),
+        ("loss.l1", "1.0"), ("loss.style", "250.0"), ("loss.perceptual", "0.1"),
+        ("loss.adversarial", "0.001"), ("loss.adv_mode", "nonsat"),
+        ("loss.composite", "false"), ("width", "standard"),
+    ]
+
+
 def test_build_configs_roundtrip():
     flat = effective_config(None, {}, {"model.base_channels": "8",
                                        "loss.adversarial": "0",
@@ -108,6 +130,37 @@ def test_data_errors_exit_2(tmp_path, capsys):
                "--mask", str(bad), "--out", str(tmp_path / "o.ppm")])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pair", [
+    # values that do not parse
+    "model.use_cbfn=maybe", "model.state_dim=2.5", "model.hm_counts=1,x,1", "train.eps=tiny",
+    # non-finite floats
+    "train.lr=nan", "train.lr=inf", "train.lr=1e999", "model.gdfn_expansion=nan",
+    "model.gdfn_expansion=-inf", "loss.style=nan",
+    # out of range
+    "model.hm_counts=1,1", "model.base_channels=0", "model.state_dim=0",
+    "model.pooled_spatial=0", "model.heads=0", "model.expand=0", "model.conv_kernel=0",
+    "model.input_channels=0", "train.eps=0", "train.beta1=1", "train.beta2=1.0",
+    "train.beta1=-0.1", "train.image_size=0",
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, pair):
+    # each is rejected while the config is read, before any training step
+    rc = main(["train", "--out", str(tmp_path / "x.ckpt"), "--iters", "1",
+               "--synthetic", "2", *TINY, "--set", pair])
+    assert rc == 2
+    assert pair.split("=")[0].split(".")[1] in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_resume_refuses_flags_it_would_ignore(tmp_path, capsys):
+    ckpt = _train_tiny(tmp_path)
+    capsys.readouterr()
+    for extra in (["--lr", "1"], ["--set", "train.lr=1"], ["--seed", "3"],
+                  ["--width", "wide"], ["--config", "run.cfg"], ["--data-dir", "d"],
+                  ["--batch-size", "1"], ["--synthetic", "3"], ["--image-size", "8"]):
+        assert main(["train", "--out", ckpt, "--resume", ckpt, *extra]) == 1
+        assert extra[0] in capsys.readouterr().err
 
 
 def test_gradcheck_failure_exits_3(capsys):

@@ -154,25 +154,18 @@ def test_synthetic_images_vary():
 # ---- batching ---------------------------------------------------------------------------
 
 
-def test_batcher_deterministic_and_keeps_partial_tail():
+def test_batch_at_deterministic_and_keeps_partial_tail():
     ds = D.synthetic_dataset(10, 16, 16, seed=11)
-    sizes = [b.i_gt.shape[0] for _, b in zip(range(6), D.batcher(ds, batch_size=4, seed=3))]
+    sizes = [D.batch_at(ds, 4, 3, k).i_gt.shape[0] for k in range(6)]
     assert sizes == [4, 4, 2, 4, 4, 2]
-    a = [b.indices for _, b in zip(range(6), D.batcher(ds, batch_size=4, seed=3))]
-    b = [b.indices for _, b in zip(range(6), D.batcher(ds, batch_size=4, seed=3))]
-    assert a == b
+    a = [D.batch_at(ds, 4, 3, k).indices for k in range(6)]
+    b = [D.batch_at(ds, 4, 3, k).indices for k in range(6)]
+    assert a == b == [D.batch_indices(10, 4, 3, k) for k in range(6)]
     # one epoch covers every sample exactly once
     seen = sorted(i for batch in a[:3] for i in batch)
     assert seen == list(range(10))
     # epochs shuffle differently
     assert a[:3] != a[3:]
-
-
-def test_batch_at_matches_iterator():
-    ds = D.synthetic_dataset(7, 16, 16, seed=13)
-    it = list(b.indices for _, b in zip(range(4), D.batcher(ds, batch_size=3, seed=5)))
-    direct = [D.batch_indices(7, 3, 5, k) for k in range(4)]
-    assert it == direct
 
 
 def test_batch_dtype_and_stacking():
@@ -185,7 +178,7 @@ def test_batch_dtype_and_stacking():
 
 def test_empty_dataset_rejected():
     with pytest.raises(ContractError):
-        next(D.batcher([], batch_size=4))
+        D.batch_at([], 4, 0, 0)
     with pytest.raises(ContractError):
         D.batch_indices(0, 4, 0, 0)
     with pytest.raises(ContractError):

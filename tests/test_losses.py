@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 import mxt.losses as L
-import mxt.tensor as T
 from mxt.gradcheck import check_module_gradients, relative_error
 from mxt.tensor import ContractError, Tape, Tensor
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def f64():
-    return T.default_dtype(np.float64)
 
 
 # ---- L1 ------------------------------------------------------------------------
@@ -64,21 +59,19 @@ def test_gram_matrix_matches_loop_oracle():
 
 
 def test_style_and_perceptual_zero_on_identical():
-    with f64():
-        ex = L.FeatureExtractor(widths=(2, 3, 4, 5))
-        x = Tensor(rng(4).uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
-        feats = ex(x)
-        assert L.style_loss(feats, feats).item() == 0.0
-        assert L.perceptual_loss(feats, feats).item() == 0.0
-        y = Tensor(rng(5).uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
-        assert L.style_loss(feats, ex(y)).item() > 0
-        assert L.perceptual_loss(feats, ex(y)).item() > 0
+    ex = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
+    x = Tensor(rng(4).uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
+    feats = ex(x)
+    assert L.style_loss(feats, feats).item() == 0.0
+    assert L.perceptual_loss(feats, feats).item() == 0.0
+    y = Tensor(rng(5).uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
+    assert L.style_loss(feats, ex(y)).item() > 0
+    assert L.perceptual_loss(feats, ex(y)).item() > 0
 
 
 def test_extractor_is_frozen_and_reproducible():
-    with f64():
-        a = L.FeatureExtractor(widths=(2, 3, 4, 5))
-        b = L.FeatureExtractor(widths=(2, 3, 4, 5))
+    a = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
+    b = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
     for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -86,12 +79,11 @@ def test_extractor_is_frozen_and_reproducible():
 
 
 def test_gradient_flows_through_frozen_extractor_into_input():
-    with f64():
-        ex = L.FeatureExtractor(widths=(2, 3, 4, 5))
-        x = Tensor(rng(6).uniform(0, 1, (1, 3, 8, 8)), requires_grad=True, dtype=np.float64)
-        gt = Tensor(rng(7).uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
-        with Tape():
-            L.perceptual_loss(ex(x), ex(gt)).backward()
+    ex = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
+    x = Tensor(rng(6).uniform(0, 1, (1, 3, 8, 8)), requires_grad=True, dtype=np.float64)
+    gt = Tensor(rng(7).uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
+    with Tape():
+        L.perceptual_loss(ex(x), ex(gt)).backward()
     assert x.grad is not None and np.abs(x.grad).max() > 0
     assert all(p.grad is None for p in ex.parameters())
 
@@ -131,53 +123,49 @@ def test_unknown_adv_mode_rejected():
 
 
 def test_generator_loss_weighting_and_parts():
-    with f64():
-        ex = L.FeatureExtractor(widths=(2, 3, 4, 5))
-        disc = L.PatchDiscriminator(rng(8), widths=(4, 8, 8))
-        g = rng(9)
-        out = Tensor(g.uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
-        gt = Tensor(g.uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
-        mask = (g.uniform(0, 1, (1, 1, 16, 16)) > 0.7).astype(np.float64)
-        w = L.LossWeights(l1=1.0, style=250.0, perceptual=0.1, adversarial=0.001)
-        total, parts = L.generator_loss(out, gt, mask, w, extractor=ex, disc=disc)
+    ex = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
+    disc = L.PatchDiscriminator(rng(8), widths=(4, 8, 8), dtype=np.float64)
+    g = rng(9)
+    out = Tensor(g.uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
+    gt = Tensor(g.uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
+    mask = (g.uniform(0, 1, (1, 1, 16, 16)) > 0.7).astype(np.float64)
+    w = L.LossWeights(l1=1.0, style=250.0, perceptual=0.1, adversarial=0.001)
+    total, parts = L.generator_loss(out, gt, mask, w, extractor=ex, disc=disc)
     expect = parts["l1"] + 250 * parts["style"] + 0.1 * parts["perceptual"] + 0.001 * parts["adversarial"]
     assert float(total.data) == pytest.approx(expect, rel=1e-12)
     assert parts["total"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_zero_weight_terms_not_evaluated():
-    with f64():
-        out = Tensor(rng(10).uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
-        gt = Tensor(rng(11).uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
-        mask = np.ones((1, 1, 8, 8))
-        w = L.LossWeights(l1=1.0, style=0.0, perceptual=0.0, adversarial=0.0)
-        # no extractor, no discriminator: must not be touched
-        total, parts = L.generator_loss(out, gt, mask, w, extractor=None, disc=None)
+    out = Tensor(rng(10).uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
+    gt = Tensor(rng(11).uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
+    mask = np.ones((1, 1, 8, 8))
+    w = L.LossWeights(l1=1.0, style=0.0, perceptual=0.0, adversarial=0.0)
+    # no extractor, no discriminator: must not be touched
+    total, parts = L.generator_loss(out, gt, mask, w, extractor=None, disc=None)
     assert set(parts) == {"l1", "total"}
     with pytest.raises(ContractError):
         L.generator_loss(out, gt, mask, L.LossWeights(l1=0, style=0, perceptual=0, adversarial=0))
 
 
 def test_composite_mode_ignores_known_region_errors():
-    with f64():
-        g = rng(12)
-        gt = Tensor(g.uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
-        mask = np.zeros((1, 1, 8, 8))
-        mask[0, 0, :2, :2] = 1.0
-        out_bad_outside = gt.data.copy()
-        out_bad_outside[0, :, 4:, 4:] += 0.5  # wrong only where mask = 0
-        w = L.LossWeights(l1=1.0, style=0, perceptual=0, adversarial=0, composite=True)
-        total, _ = L.generator_loss(Tensor(out_bad_outside, dtype=np.float64), gt, mask, w)
+    g = rng(12)
+    gt = Tensor(g.uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
+    mask = np.zeros((1, 1, 8, 8))
+    mask[0, 0, :2, :2] = 1.0
+    out_bad_outside = gt.data.copy()
+    out_bad_outside[0, :, 4:, 4:] += 0.5  # wrong only where mask = 0
+    w = L.LossWeights(l1=1.0, style=0, perceptual=0, adversarial=0, composite=True)
+    total, _ = L.generator_loss(Tensor(out_bad_outside, dtype=np.float64), gt, mask, w)
     assert float(total.data) == 0.0
 
 
 def test_discriminator_loss_detaches_fake():
-    with f64():
-        disc = L.PatchDiscriminator(rng(13), widths=(4, 8, 8))
-        fake = Tensor(rng(14).uniform(0, 1, (1, 3, 16, 16)), requires_grad=True, dtype=np.float64)
-        real = Tensor(rng(15).uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
-        with Tape():
-            L.discriminator_loss(disc, real, fake).backward()
+    disc = L.PatchDiscriminator(rng(13), widths=(4, 8, 8), dtype=np.float64)
+    fake = Tensor(rng(14).uniform(0, 1, (1, 3, 16, 16)), requires_grad=True, dtype=np.float64)
+    real = Tensor(rng(15).uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
+    with Tape():
+        L.discriminator_loss(disc, real, fake).backward()
     assert fake.grad is None  # detached: nothing reaches the generator side
     assert any(p.grad is not None for p in disc.parameters())
 
@@ -190,9 +178,8 @@ def test_loss_gradients_vs_fd():
 
     class Wrapper(Module):
         def __init__(self, kind):
-            with T.default_dtype(np.float64):
-                self.ex = L.FeatureExtractor(widths=(2, 2, 3, 3))
-                self.disc = L.PatchDiscriminator(rng(16), widths=(3, 4, 4))
+            self.ex = L.FeatureExtractor(widths=(2, 2, 3, 3), dtype=np.float64)
+            self.disc = L.PatchDiscriminator(rng(16), widths=(3, 4, 4), dtype=np.float64)
             self._kind = kind
             self._gt = rng(17).uniform(0, 1, (1, 3, 8, 8))
             self._mask = np.zeros((1, 1, 8, 8))

@@ -1,12 +1,17 @@
 """Model assembly: structure, shapes, ablation counts, tiling, persistence."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mxt.tensor as T
 from mxt.checkpoint import CorruptionError, SchemaError, load_checkpoint, save_checkpoint
-from mxt.model import (MxT, ModelConfig, ablation_variant, composite, load_model,
+from mxt.losses import LossWeights
+from mxt.model import (MxT, ModelConfig, composite, decode_config, encode_config, load_model,
                        prepare_input, save_model, tiled_inference)
+from mxt.train import TrainConfig
 from mxt.tensor import ContractError, DimensionError, Tensor
 
 
@@ -83,12 +88,16 @@ def test_same_seed_same_output():
 
 def test_ablation_counts_monotone_and_cbfn_free():
     cfg = tiny_cfg()
-    count = lambda c: MxT(c, rng(6)).param_count()
-    none = count(ablation_variant(cfg, mamba=False, srsa=False, ffn=False))
-    mamba_only = count(ablation_variant(cfg, mamba=True, srsa=False, ffn=False))
-    srsa_only = count(ablation_variant(cfg, mamba=False, srsa=True, ffn=False))
-    full_gdfn = count(ablation_variant(cfg, mamba=True, srsa=True, ffn=True, cbfn=False))
-    full_cbfn = count(ablation_variant(cfg, mamba=True, srsa=True, ffn=True, cbfn=True))
+    def count(mamba, srsa, ffn, cbfn=True):
+        variant = replace(cfg, enable_mamba=mamba, enable_srsa=srsa, enable_ffn=ffn,
+                          use_cbfn=cbfn)
+        return MxT(variant, rng(6)).param_count()
+
+    none = count(mamba=False, srsa=False, ffn=False)
+    mamba_only = count(mamba=True, srsa=False, ffn=False)
+    srsa_only = count(mamba=False, srsa=True, ffn=False)
+    full_gdfn = count(mamba=True, srsa=True, ffn=True, cbfn=False)
+    full_cbfn = count(mamba=True, srsa=True, ffn=True, cbfn=True)
     assert none < mamba_only < full_gdfn
     assert none < srsa_only < full_gdfn
     # context broadcast adds zero parameters over the plain gated FFN
@@ -97,16 +106,45 @@ def test_ablation_counts_monotone_and_cbfn_free():
     assert full_gdfn > mamba_only + srsa_only - none
 
 
-def test_config_flat_roundtrip():
-    cfg = tiny_cfg(gdfn_expansion=2.66, use_cbfn=False, hm_counts=(2, 3, 2))
-    again = ModelConfig.from_flat(cfg.to_flat())
-    assert again == cfg
-    with pytest.raises(ContractError):
-        ModelConfig.from_flat({"nonsense": "1"})
-    with pytest.raises(ContractError):
-        ModelConfig.from_flat({"use_cbfn": "maybe"})
-    with pytest.raises(ContractError):
-        ModelConfig(hm_counts=(1, 1))  # even length has no middle
+# ---- config codec ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cfg", [
+    tiny_cfg(gdfn_expansion=2.66, use_cbfn=False, hm_counts=(2, 3, 2)),
+    TrainConfig(lr=3e-4, batch_size=3, seed=7, iters=10, data_dir="some dir"),
+    LossWeights(adversarial=0.0, adv_mode="hinge", composite=True),
+], ids=lambda cfg: type(cfg).__name__)
+def test_config_flat_roundtrip(cfg):
+    flat = encode_config(cfg, "p.")
+    assert list(flat) == [f"p.{f.name}" for f in fields(cfg)]
+    assert all(isinstance(v, str) for v in flat.values())
+    # entries under other prefixes are not this config's
+    assert decode_config(type(cfg), {**flat, "q.x": "1", "width": "wide"}, "p.") == cfg
+    assert decode_config(type(cfg), {}, "p.") == type(cfg)()
+    with pytest.raises(ContractError, match="unknown"):
+        decode_config(type(cfg), {"p.nonsense": "1"}, "p.")
+
+
+def _field_values(f):
+    """Values a field can hold that its config accepts."""
+    if f.name == "adv_mode":
+        return st.sampled_from(["nonsat", "hinge"])
+    if isinstance(f.default, bool):
+        return st.booleans()
+    if isinstance(f.default, tuple):  # odd length, as hm_counts needs
+        return st.lists(st.integers(0, 99), max_size=3).map(lambda c: (*c, 1, *c))
+    if isinstance(f.default, int):
+        return st.integers(1, 10**12)
+    if isinstance(f.default, float):  # (0, 1) is in range for every float field
+        return st.floats(0, 1, exclude_min=True, exclude_max=True)
+    return st.text()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([ModelConfig, TrainConfig, LossWeights]).flatmap(
+    lambda cls: st.builds(cls, **{f.name: _field_values(f) for f in fields(cls)})))
+def test_config_codec_roundtrip_any_values(cfg):
+    assert decode_config(type(cfg), encode_config(cfg)) == cfg
 
 
 # ---- input prep / composite -----------------------------------------------------------

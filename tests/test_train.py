@@ -16,8 +16,6 @@ from mxt.train import (
     Adam,
     TrainConfig,
     TrainState,
-    dataclass_flat,
-    dataclass_unflat,
     hole_l1,
     init_train_state,
     load_train_state,
@@ -81,18 +79,6 @@ def test_adam_skips_frozen_and_gradless():
     snap = mod2.a.data.copy()
     opt2.step()
     assert np.array_equal(mod2.a.data, snap)
-
-
-def test_dataclass_flat_roundtrip():
-    tc = TrainConfig(lr=3e-4, batch_size=3, seed=7, iters=10)
-    flat = dataclass_flat(tc)
-    assert flat["lr"] == repr(3e-4)
-    back = dataclass_unflat(TrainConfig, flat)
-    assert back == tc
-    lw = LossWeights(adversarial=0.0, composite=True)
-    assert dataclass_unflat(LossWeights, dataclass_flat(lw)) == lw
-    with pytest.raises(Exception):
-        dataclass_unflat(TrainConfig, {"nope": "1"})
 
 
 def test_training_reduces_l1():
