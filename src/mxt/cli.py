@@ -12,7 +12,7 @@ loss.*, width). Precedence, lowest to highest: built-in defaults, --config
 file, the MXT_SEED environment variable (train.seed only), then explicit
 flags / --set pairs. The effective configuration is echoed, sorted, before
 training starts. ``train --resume`` takes its configuration from the
-checkpoint and accepts only --iters and --out beside it.
+checkpoint and accepts only --iters and --out beside it (MXT_SEED unset).
 
 Exit codes: 0 success; 1 usage error; 2 bad data or config (parse errors,
 out-of-range values, schema/shape mismatches, missing files); 3 numeric
@@ -22,6 +22,7 @@ failure (non-finite loss, failed gradient check).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -157,12 +158,14 @@ def cmd_train(args) -> int:
         # target (--iters) and the output path may change
         fresh_only = ["config", "set"] + [d for d, _ in _FLAG_KEYS if d != "iters"]
         ignored = [f"--{d.replace('_', '-')}" for d in fresh_only if getattr(args, d) is not None]
+        if os.environ.get("MXT_SEED") is not None:
+            ignored.append("MXT_SEED")
         if ignored:
             raise _UsageError(f"--resume takes its config from the checkpoint; "
                               f"drop {' '.join(ignored)}")
         state = load_train_state(args.resume)
         if args.iters is not None:
-            state.tcfg.iters = args.iters
+            state.tcfg = dataclasses.replace(state.tcfg, iters=args.iters)
         _echo_config(flat_config(state.model.config, state.tcfg, state.weights, state.width))
         print(f"resumed from {args.resume} at step {state.step}")
     else:
@@ -207,6 +210,9 @@ def cmd_eval(args) -> int:
     from .model import load_model, prepare_input, tiled_inference
     from .train import TrainConfig, build_samples
 
+    for flag, value in (("--synthetic", args.synthetic), ("--image-size", args.image_size)):
+        if value < 1:
+            raise ContractError(f"{flag} must be >= 1, got {value}")
     model, _meta = load_model(args.model)
     seed = _resolve_seed(args.seed)
     if args.data_dir:

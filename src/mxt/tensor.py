@@ -1,10 +1,17 @@
 """Reverse-mode autodiff over numpy arrays with an explicit tape.
 
-Every differentiable op appends one node to the active ``Tape`` (a Wengert
-list, recorded in execution order, which is already topologically sorted).
-``backward`` sweeps that list once in reverse, accumulating gradients into a
-dict keyed by tensor identity, so fan-out is handled by plain addition and a
-second ``backward`` call accumulates on top of existing leaf ``.grad``s.
+Ops record only inside an open ``with Tape()`` block: each differentiable op
+then appends one node to that tape (a Wengert list, recorded in execution
+order, which is already topologically sorted). Outside any tape, or under
+``no_grad``, ops produce constant tensors and record nothing.
+
+``backward`` sweeps the tape once in reverse, accumulating gradients into a
+dict keyed by tensor identity, so fan-out is handled by plain addition. A
+node lives only as long as a sweep can still use it: once ``backward`` has
+passed it, its closure, output and inputs are released and it leaves the
+tape, so memory falls during the sweep. A second sweep through a consumed
+node raises ``ContractError``; leaf ``.grad``s accumulate across sweeps of
+separate graphs. Nodes a sweep did not reach stay until the tape exits.
 
 Two float widths exist: float32 (standard) and float64 (wide). float32 is
 the fixed default: layers are float64 only when built with
@@ -79,7 +86,10 @@ class Tape:
 
 # ``Tensor._node`` of an op output whose tape has exited
 _EXITED = Node(None, (), None)
+# ``Tensor._node`` of an op output whose node a backward sweep has consumed
+_SWEPT = Node(None, (), None)
 
+# the base tape stays empty: ops record only while a ``with Tape()`` is open
 _tape_stack: list[Tape] = [Tape()]
 _grad_enabled = True
 
@@ -166,33 +176,49 @@ class Tensor:
         """Reverse sweep from this scalar through the active tape.
 
         Leaf tensors with requires_grad get ``.grad`` populated (accumulated
-        if already set). Each node is visited exactly once.
+        if already set). Each node is visited exactly once: as the sweep
+        passes a node it drops the node's closure, output and inputs and,
+        when the sweep ends, takes it off the tape. A graph can therefore be
+        swept only once; a root or an input whose node an earlier sweep
+        consumed raises ``ContractError``.
         """
         if self.shape != ():
             raise ContractError(f"backward root must be scalar, got shape {self.shape}")
         if not self.requires_grad:
-            raise ContractError("backward root does not require grad")
+            raise ContractError("backward root does not require grad; ops record "
+                                "only inside `with Tape()` and outside no_grad()")
         if self._node is _EXITED:
             raise ContractError("backward root was recorded on a tape that has exited; "
                                 "call backward() inside its `with Tape()` block")
+        if self._node is _SWEPT:
+            raise ContractError("backward root was already swept; its graph is freed")
         grads: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.data.dtype)}
         if self._node is None:
             # degenerate: the root is itself a leaf
             self._accumulate_leaf(grads[id(self)])
             return
-        for node in reversed(active_tape().nodes):
-            g = grads.pop(id(node.out), None)
-            if g is None:
-                continue
-            input_grads = node.bwd(g)
-            for t, gi in zip(node.inputs, input_grads):
-                if gi is None or not t.requires_grad:
+        nodes = active_tape().nodes
+        try:
+            for node in reversed(nodes):
+                g = grads.pop(id(node.out), None)
+                if g is None:
                     continue
-                if t._node is None or t._node is _EXITED:
-                    t._accumulate_leaf(gi)
-                else:
-                    prev = grads.get(id(t))
-                    grads[id(t)] = gi if prev is None else prev + gi
+                input_grads = node.bwd(g)
+                for t, gi in zip(node.inputs, input_grads):
+                    if gi is None or not t.requires_grad:
+                        continue
+                    if t._node is None or t._node is _EXITED:
+                        t._accumulate_leaf(gi)
+                    elif t._node is _SWEPT:
+                        raise ContractError("backward reached a tensor whose graph an "
+                                            "earlier backward() already swept")
+                    else:
+                        prev = grads.get(id(t))
+                        grads[id(t)] = gi if prev is None else prev + gi
+                node.out._node = _SWEPT
+                node.out = node.inputs = node.bwd = None
+        finally:
+            nodes[:] = [node for node in nodes if node.bwd is not None]
 
     def _accumulate_leaf(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -286,7 +312,7 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 def needs_grad(inputs: tuple) -> bool:
     """Whether an op on these inputs gets recorded for backward."""
-    return _grad_enabled and any(t.requires_grad for t in inputs)
+    return _grad_enabled and len(_tape_stack) > 1 and any(t.requires_grad for t in inputs)
 
 
 def _make(out_data: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
@@ -437,21 +463,28 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh approximation of the Gaussian error linear unit; one node that
-    keeps its input and the tanh for the closed-form backward."""
-    xd = x.data
+def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
+    """tanh(sqrt(2/pi) * (x + 0.044715 x^3)), the inner term of gelu."""
     # x*x*x, not x**3: numpy sends a float32 cube through powf, ~15x slower
     t = xd * xd * xd
     t *= _GELU_A
     t += xd
     t *= _GELU_C
-    np.tanh(t, out=t)
+    return np.tanh(t, out=t)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """tanh approximation of the Gaussian error linear unit; one node that
+    keeps only its input and recomputes the tanh for the closed-form
+    backward."""
+    xd = x.data
+    t = _gelu_tanh(xd)
     out = t + 1.0
     out *= xd
     out *= 0.5
 
-    def bwd(g, xd=xd, t=t):
+    def bwd(g, xd=xd):
+        t = _gelu_tanh(xd)
         dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd)))
         return (g * (0.5 * (1.0 + t) + 0.5 * xd * dt),)
 
@@ -746,8 +779,8 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple) -> Tensor:
 # ---- fused layer ops ---------------------------------------------------------------
 #
 # Each layer below is one tape node with a hand-written backward that keeps
-# only the op's forward-time inputs (layer_norm adds its normalized input and
-# per-row 1/std), so a conv or a norm costs one node and one saved output.
+# only the op's forward-time inputs (layer_norm adds its per-row std and
+# 1/std), so a conv or a norm costs one node and one saved output.
 
 
 def _layer_inputs(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> tuple:
@@ -950,8 +983,9 @@ def causal_conv1d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
                eps: float = 1e-5) -> Tensor:
     """Normalize along one axis to zero mean and unit variance, then scale by
-    gamma and shift by beta, both (x.shape[axis],). Keeps the normalized
-    input and 1/std for the closed-form backward."""
+    gamma and shift by beta, both (x.shape[axis],). Keeps its input and the
+    per-row std and 1/std; backward recomputes the normalized input, mean
+    included, with the forward's own ops."""
     for t in (gamma, beta):
         _check_same_dtype(x, t, "layer_norm")
     axis = axis % x.ndim
@@ -960,15 +994,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
         raise DimensionError(f"layer_norm: gamma {gamma.shape} / beta {beta.shape} "
                              f"do not fit axis {axis} of {x.shape}")
     pshape = (c,) + (1,) * (x.ndim - 1 - axis)
-    xn = x.data - x.data.mean(axis=axis, keepdims=True)
+    xd = x.data
+    xn = xd - xd.mean(axis=axis, keepdims=True)
     std = np.sqrt(np.mean(xn * xn, axis=axis, keepdims=True) + eps)
     xn /= std
     rstd = 1.0 / std
     out = xn * gamma.data.reshape(pshape)
     out += beta.data.reshape(pshape)
 
-    def bwd(g, xn=xn, rstd=rstd, gd=gamma.data):
+    def bwd(g, xd=xd, std=std, rstd=rstd, gd=gamma.data):
         g = np.asarray(g)
+        xn = xd - xd.mean(axis=axis, keepdims=True)
+        xn /= std
         rest = tuple(a for a in range(x.ndim) if a != axis)
         gx = None
         if x.requires_grad:

@@ -64,6 +64,9 @@ class TrainConfig:
                 raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.image_size < 1:
             raise ContractError(f"image_size must be >= 1, got {self.image_size}")
+        for name in ("iters", "log_every", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 def flat_config(mcfg: ModelConfig, tcfg: TrainConfig, weights: LossWeights, width: str) -> dict:

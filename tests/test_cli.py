@@ -142,7 +142,8 @@ def test_data_errors_exit_2(tmp_path, capsys):
     "model.hm_counts=1,1", "model.base_channels=0", "model.state_dim=0",
     "model.pooled_spatial=0", "model.heads=0", "model.expand=0", "model.conv_kernel=0",
     "model.input_channels=0", "train.eps=0", "train.beta1=1", "train.beta2=1.0",
-    "train.beta1=-0.1", "train.image_size=0",
+    "train.beta1=-0.1", "train.image_size=0", "train.iters=-1", "train.log_every=-1",
+    "train.checkpoint_every=-1",
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, pair):
     # each is rejected while the config is read, before any training step
@@ -153,7 +154,7 @@ def test_bad_config_values_exit_2(tmp_path, capsys, pair):
     assert not (tmp_path / "x.ckpt").exists()
 
 
-def test_resume_refuses_flags_it_would_ignore(tmp_path, capsys):
+def test_resume_refuses_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
     ckpt = _train_tiny(tmp_path)
     capsys.readouterr()
     for extra in (["--lr", "1"], ["--set", "train.lr=1"], ["--seed", "3"],
@@ -161,6 +162,14 @@ def test_resume_refuses_flags_it_would_ignore(tmp_path, capsys):
                   ["--batch-size", "1"], ["--synthetic", "3"], ["--image-size", "8"]):
         assert main(["train", "--out", ckpt, "--resume", ckpt, *extra]) == 1
         assert extra[0] in capsys.readouterr().err
+    # the environment's seed would be ignored just the same
+    monkeypatch.setenv("MXT_SEED", "9")
+    assert main(["train", "--out", ckpt, "--resume", ckpt, "--iters", "3"]) == 1
+    assert "MXT_SEED" in capsys.readouterr().err
+    monkeypatch.delenv("MXT_SEED")
+    # the one setting it does take is range-checked like a fresh run's
+    assert main(["train", "--out", ckpt, "--resume", ckpt, "--iters", "-1"]) == 2
+    assert "iters" in capsys.readouterr().err
 
 
 def test_gradcheck_failure_exits_3(capsys):
@@ -231,6 +240,19 @@ def test_infer_and_eval_roundtrip(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "image=0" in out and "all" in out and "psnr" in out
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    return _train_tiny(tmp_path_factory.mktemp("eval"))
+
+
+@pytest.mark.parametrize("flag,value", [("--synthetic", "0"), ("--synthetic", "-1"),
+                                        ("--image-size", "0"), ("--image-size", "-4")])
+def test_eval_rejects_sizes_below_one(tiny_ckpt, capsys, flag, value):
+    rc = main(["eval", "--model", tiny_ckpt, flag, value])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
 
 
 def test_gradcheck_subset_passes(capsys):

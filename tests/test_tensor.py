@@ -281,14 +281,113 @@ def test_fanout_accumulates():
     assert x.grad == 2.0
 
 
-def test_repeated_backward_accumulates():
+def test_second_backward_raises_and_leaf_grads_accumulate_across_graphs():
     x = Tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
     with Tape():
         y = x * x
         y.backward()
         first = x.grad.copy()
-        y.backward()
+        # the sweep freed y's graph: sweeping it again must not pass for a leaf
+        with pytest.raises(ContractError, match="already swept"):
+            y.backward()
+        np.testing.assert_array_equal(x.grad, first)
+        assert y.grad is None
+        # a second forward pass is a new graph, and its gradient adds on
+        (x * x).backward()
     np.testing.assert_array_equal(x.grad, 2 * first)
+
+
+def test_sweep_frees_each_node_it_passes():
+    import gc
+    import weakref
+
+    x = Tensor(np.ones(1000), requires_grad=True, dtype=np.float64)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            hidden = T.exp(x) * 2.0
+            ref = weakref.ref(hidden.data)
+            loss = T.sum_(hidden)
+            del hidden
+            assert len(tape) == 3
+            loss.backward()
+            # refcounting alone frees it, before the tape exits
+            assert ref() is None
+            assert len(tape) == 0
+    finally:
+        gc.enable()
+    np.testing.assert_allclose(x.grad, 2.0 * np.e)
+
+
+def test_sweep_through_a_consumed_node_raises():
+    x = Tensor(np.arange(3.0), requires_grad=True, dtype=np.float64)
+    with Tape():
+        shared = x * 2.0
+        first = T.sum_(shared)
+        second = T.sum_(shared * 3.0)
+        first.backward()
+        with pytest.raises(ContractError, match="already swept"):
+            second.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_disjoint_sweeps_on_one_tape_match_separate_tapes():
+    # the shape of a GAN step: D's loss sees G's output detached, G's loss
+    # sees D's parameters as leaves; both graphs are swept on one tape
+    r = rng(41)
+    gw = r.standard_normal((3, 4))
+    dw = r.standard_normal((4, 1))
+    xs = r.standard_normal((5, 3))
+
+    def run(one_tape):
+        g = Tensor(gw, requires_grad=True, dtype=np.float64)
+        d = Tensor(dw, requires_grad=True, dtype=np.float64)
+        x = Tensor(xs, dtype=np.float64)
+
+        def losses():
+            fake = T.tanh(x @ g)
+            d_loss = T.mean(T.softplus(fake.detach() @ d))
+            g_loss = T.mean(T.softplus(-(fake @ d))) + T.mean(fake * fake)
+            return d_loss, g_loss
+
+        if one_tape:
+            with Tape() as tape:
+                d_loss, g_loss = losses()
+                total = len(tape)
+                d_loss.backward()
+                left = len(tape)
+                g_loss.backward()
+                # each sweep took exactly its own graph off the tape
+                assert 0 < left < total and len(tape) == 0
+        else:
+            for i in range(2):
+                with Tape():
+                    losses()[i].backward()
+        return g.grad, d.grad
+
+    for a, b in zip(run(True), run(False)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_ops_outside_a_tape_record_nothing():
+    import gc
+    import weakref
+
+    x = Tensor(np.ones(1000), requires_grad=True, dtype=np.float64)
+    gc.disable()
+    try:
+        hidden = T.exp(x)
+        ref = weakref.ref(hidden.data)
+        y = T.sum_(hidden * 2.0)
+        del hidden
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert len(T.active_tape()) == 0
+    assert not y.requires_grad
+    with pytest.raises(ContractError, match="Tape"):
+        y.backward()
+    assert x.grad is None
 
 
 def test_diamond_graph_visits_each_node_once():
@@ -529,7 +628,8 @@ def test_fused_ops_record_one_node_and_keep_float32():
     for op, inputs, args in cases:
         with Tape() as tape:
             y = op(*inputs, *args)
-            T.sum_(y).backward()
-        assert len(tape) == 2  # the op and the sum
+            loss = T.sum_(y)
+            assert len(tape) == 2  # the op and the sum
+            loss.backward()
         assert y.dtype == np.float32
         assert all(t.grad is not None and t.grad.dtype == np.float32 for t in inputs)
