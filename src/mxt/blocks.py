@@ -4,10 +4,14 @@ Spatial tensors are (B, C, H, W); sequence tensors are (B, L, C) with L = H*W
 in raster (row-major) order. Each layer (Conv2d, DepthwiseConv2d,
 CausalConv1d, LayerNorm, ChannelLayerNorm) is one call to a fused tensor op
 with a hand-written backward, so it records one tape node that keeps only its
-inputs; the sub-blocks compose those layers with generic tape ops.
+inputs; the sub-blocks compose those layers with generic tape ops, and the
+feed-forward's gate is the one-node ``gelu_gate``. Every MambaBlock reads its
+positional table from one shared cache, one constant table per (L, C, dtype).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -156,6 +160,13 @@ def positional_encoding(length: int, channels: int, dtype) -> np.ndarray:
     return pe
 
 
+@functools.lru_cache(maxsize=32)
+def _positional_table(length: int, channels: int, dtype: np.dtype) -> Tensor:
+    """The constant table every MambaBlock adds at this shape and width;
+    bounded, so a run fed many image sizes keeps at most 32 tables."""
+    return Tensor(positional_encoding(length, channels, dtype))
+
+
 # ---- the three sub-blocks -------------------------------------------------------
 
 
@@ -177,7 +188,6 @@ class Srsa(Module):
         self.qkv = Conv2d(channels, 3 * channels, 1, rng, dtype=dtype)
         self.qkv_dw = DepthwiseConv2d(3 * channels, rng, dtype=dtype)
         self.local = DepthwiseConv2d(channels, rng, dtype=dtype)
-        self._channels = channels
         self._pooled = pooled_spatial
         self._heads = heads
         self._scale = scale_qk
@@ -190,7 +200,7 @@ class Srsa(Module):
         bsz, c, h, w = x.shape
         hds, dh, s = self._heads, c // self._heads, self._pooled
         qkv = self.qkv_dw(self.qkv(self.norm(x)))              # (B, 3C, H, W)
-        q, k, v = T.split(qkv, [c, c, c], axis=1)
+        q, k, v = qkv[:, :c], qkv[:, c : 2 * c], qkv[:, 2 * c :]
         kp = T.reshape(T.adaptive_avg_pool2d(k, (s, s)), (bsz, hds, dh, s * s))
         vp = T.reshape(T.adaptive_avg_pool2d(v, (s, s)), (bsz, hds, dh, s * s))
         scores = T.matmul(T.transpose(kp, (0, 1, 3, 2)),
@@ -231,21 +241,13 @@ class MambaBlock(Module):
         self._chunk = chunk_len
         self._use_pe = use_pe
         self._silu_after_conv = silu_after_conv
-        self._dtype = dtype
-        self._pe_cache: dict = {}
-
-    def _pe(self, length: int, channels: int) -> Tensor:
-        key = (length, channels)
-        if key not in self._pe_cache:
-            self._pe_cache[key] = Tensor(positional_encoding(length, channels, self._dtype))
-        return self._pe_cache[key]
 
     def forward(self, x: Tensor) -> Tensor:
         bsz, c, h, w = x.shape
         L = h * w
         seq = T.transpose(T.reshape(x, (bsz, c, L)), (0, 2, 1))   # (B, L, C)
         if self._use_pe:
-            seq = seq + self._pe(L, c)
+            seq = seq + _positional_table(L, c, seq.dtype)
         seq = self.norm(seq)
         body = T.silu(self.inp(seq))
         body = self.conv(body)
@@ -273,13 +275,10 @@ class Gdfn(Module):
         self.expand = Conv2d(channels, 2 * hidden, 1, rng, dtype=dtype)
         self.dw = DepthwiseConv2d(2 * hidden, rng, dtype=dtype)
         self.project = Conv2d(hidden, channels, 1, rng, dtype=dtype)
-        self._hidden = hidden
         self._broadcast = context_broadcast
 
     def forward(self, x: Tensor) -> Tensor:
-        y = self.dw(self.expand(self.norm(x)))
-        gate, value = T.split(y, [self._hidden, self._hidden], axis=1)
-        y = self.project(T.gelu(gate) * value)
+        y = self.project(T.gelu_gate(self.dw(self.expand(self.norm(x)))))
         if self._broadcast:
             y = y + T.mean(y, axis=(2, 3), keepdims=True)
         return y

@@ -210,9 +210,7 @@ def cmd_eval(args) -> int:
     from .model import load_model, prepare_input, tiled_inference
     from .train import TrainConfig, build_samples
 
-    for flag, value in (("--synthetic", args.synthetic), ("--image-size", args.image_size)):
-        if value < 1:
-            raise ContractError(f"{flag} must be >= 1, got {value}")
+    _require_positive(("--synthetic", args.synthetic), ("--image-size", args.image_size))
     model, _meta = load_model(args.model)
     seed = _resolve_seed(args.seed)
     if args.data_dir:
@@ -236,9 +234,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import run_standard_suite
+    from .gradcheck import STANDARD_BLOCKS, run_standard_suite
 
     names = args.blocks.split(",") if args.blocks else None
+    unknown = [n for n in names or () if n not in STANDARD_BLOCKS]
+    if unknown:
+        raise _UsageError(f"unknown gradcheck block(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(STANDARD_BLOCKS)}")
     failures = 0
     worst_overall = 0.0
     for name, report in run_standard_suite(names, h=args.step):
@@ -295,6 +297,7 @@ def cmd_scan_bench(args) -> int:
 def cmd_mask_gen(args) -> int:
     from .data import BUCKETS, MaskSpec, generate_irregular_mask, write_pgm
 
+    _require_positive(("--size", args.size), ("--count", args.count))
     buckets = sorted(BUCKETS) if args.bucket == "all" else [args.bucket]
     for b in buckets:
         if b not in BUCKETS:
@@ -316,6 +319,13 @@ def cmd_mask_gen(args) -> int:
         f.write("\n".join(manifest) + "\n")
     print(f"wrote {len(manifest)} masks to {args.out} ({fallbacks} fallbacks)")
     return 0
+
+
+def _require_positive(*flags) -> None:
+    """Reject any (flag, value) pair whose value is below 1."""
+    for flag, value in flags:
+        if value < 1:
+            raise ContractError(f"{flag} must be >= 1, got {value}")
 
 
 def _resolve_seed(flag_value) -> int:

@@ -95,30 +95,17 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, seed: int = 1
             analytic[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
         p.grad = None
 
-    def value() -> float:
+    def value(*_) -> float:
+        # the perturbed arrays are read in place: x and each p.data
         with no_grad():
             out = forward(module, Tensor(x, dtype=np.float64))
         return float(np.sum(out.data * w))
 
-    def fd_of(arr: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(arr)
-        flat, gflat = arr.reshape(-1), g.reshape(-1)
-        for j in range(flat.size):
-            keep = flat[j]
-            flat[j] = keep + h
-            up = value()
-            flat[j] = keep - h
-            dn = value()
-            flat[j] = keep
-            gflat[j] = (up - dn) / (2.0 * h)
-        return g
-
-    report = {}
-    if check_input:
-        report["<input>"] = relative_error(analytic["<input>"], fd_of(x))
-    for name, p in params:
-        if name in analytic:
-            report[name] = relative_error(analytic[name], fd_of(p.data))
+    checked = [("<input>", x)] if check_input else []
+    checked += [(name, p.data) for name, p in params if name in analytic]
+    numeric = fd_gradients(value, [arr for _, arr in checked], h=h)
+    report = {name: relative_error(analytic[name], g)
+              for (name, _), g in zip(checked, numeric)}
     report["worst"] = max(report.values())
     return report
 

@@ -44,9 +44,8 @@ dphi/ddelta = exp(delta*a); its sums over N and E are matmuls or reductions
 over outer axes.
 
 The unfused pieces stay as tested oracles: `zoh_gain`/`discretize_zoh` (the
-discretization as ordinary tape ops), `recurrence_sequential` (a plain loop)
-and `recurrence_chunked` (the same per-chunk stepping the fused op uses).
-`scan_sequential` chains them into the reference selective scan.
+discretization as ordinary tape ops) and `recurrence_sequential` (a plain
+loop). `scan_sequential` chains them into the reference selective scan.
 """
 
 from __future__ import annotations
@@ -149,23 +148,6 @@ def _step_chunk(A: np.ndarray, B: np.ndarray, h: np.ndarray) -> np.ndarray:
         a_t += b_t
         h = a_t
     return A
-
-
-def recurrence_chunked(a: np.ndarray, b: np.ndarray, chunk_len: int) -> np.ndarray:
-    """Same recurrence stepped chunk_len steps at a time in the fused op's
-    time-major layout, with the state carried between chunks. Every
-    chunk_len gives the sequential update's result bit for bit.
-    """
-    if chunk_len < 1:
-        raise ContractError(f"chunk_len must be >= 1, got {chunk_len}")
-    h = np.empty_like(b)
-    a_tm, b_tm, h_tm = (v.swapaxes(0, 1) for v in (a, b, h))
-    carry = np.zeros(b.shape[:1] + b.shape[2:], dtype=b.dtype)
-    for s in range(0, b.shape[1], chunk_len):
-        e = min(s + chunk_len, b.shape[1])
-        h_tm[s:e] = _step_chunk(a_tm[s:e].copy(), b_tm[s:e], carry)
-        carry = h_tm[e - 1]
-    return h
 
 
 def _first_nonfinite_step(h: np.ndarray) -> int:

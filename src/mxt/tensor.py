@@ -11,7 +11,14 @@ node lives only as long as a sweep can still use it: once ``backward`` has
 passed it, its closure, output and inputs are released and it leaves the
 tape, so memory falls during the sweep. A second sweep through a consumed
 node raises ``ContractError``; leaf ``.grad``s accumulate across sweeps of
-separate graphs. Nodes a sweep did not reach stay until the tape exits.
+separate graphs. Nodes a sweep did not reach stay until the tape exits. A
+root recorded on another tape than the innermost open one raises
+``ContractError`` instead of sweeping nothing.
+
+Besides the elementwise, reduction and shape ops, each layer is one fused
+op with a hand-written backward that keeps only its inputs: ``conv2d``,
+``depthwise_conv2d``, ``causal_conv1d``, ``layer_norm`` and ``gelu_gate``,
+the gelu-gated product of a tensor's two channel halves.
 
 Two float widths exist: float32 (standard) and float64 (wide). float32 is
 the fixed default: layers are float64 only when built with
@@ -23,7 +30,7 @@ implicit promotion; python scalars adopt the tensor's width.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,9 +71,6 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-
-    def clear(self) -> None:
-        self.nodes.clear()
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -180,7 +184,8 @@ class Tensor:
         passes a node it drops the node's closure, output and inputs and,
         when the sweep ends, takes it off the tape. A graph can therefore be
         swept only once; a root or an input whose node an earlier sweep
-        consumed raises ``ContractError``.
+        consumed raises ``ContractError``, as does a root whose node is not
+        on the active tape.
         """
         if self.shape != ():
             raise ContractError(f"backward root must be scalar, got shape {self.shape}")
@@ -217,6 +222,9 @@ class Tensor:
                         grads[id(t)] = gi if prev is None else prev + gi
                 node.out._node = _SWEPT
                 node.out = node.inputs = node.bwd = None
+            if id(self) in grads:
+                raise ContractError("backward root is not on the active tape; call "
+                                    "backward() under the `with Tape()` that recorded it")
         finally:
             nodes[:] = [node for node in nodes if node.bwd is not None]
 
@@ -267,9 +275,6 @@ class Tensor:
     def mean(self, axis=None, keepdims=False):
         return mean(self, axis, keepdims)
 
-    def max(self, axis=None, keepdims=False):
-        return max_(self, axis, keepdims)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -279,21 +284,6 @@ class Tensor:
         if len(perm) == 1 and isinstance(perm[0], (tuple, list)):
             perm = tuple(perm[0])
         return transpose(self, perm if perm else None)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def sqrt(self):
-        return sqrt(self)
-
-    def abs(self):
-        return abs_(self)
-
-    def tanh(self):
-        return tanh(self)
 
 
 def _coerce(value, like: Tensor) -> Tensor:
@@ -408,14 +398,6 @@ def exp(x: Tensor) -> Tensor:
     return _unary(x, np.exp, lambda g, xd, y: g * y)
 
 
-def log(x: Tensor) -> Tensor:
-    return _unary(x, np.log, lambda g, xd, y: g / xd)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    return _unary(x, np.sqrt, lambda g, xd, y: g * (0.5 / y))
-
-
 def abs_(x: Tensor) -> Tensor:
     # subgradient 0 at exactly 0
     return _unary(x, np.abs, lambda g, xd, y: g * np.sign(xd))
@@ -428,10 +410,6 @@ def tanh(x: Tensor) -> Tensor:
 def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
     # stable on both tails
     return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return _unary(x, _sigmoid_arr, lambda g, xd, y: g * y * (1.0 - y))
 
 
 def silu(x: Tensor) -> Tensor:
@@ -465,30 +443,46 @@ _GELU_A = 0.044715
 
 def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
     """tanh(sqrt(2/pi) * (x + 0.044715 x^3)), the inner term of gelu."""
-    # x*x*x, not x**3: numpy sends a float32 cube through powf, ~15x slower
-    t = xd * xd * xd
+    # x*x*x with the second product in place, so one temporary; not x**3,
+    # which numpy sends through powf for float32, ~15x slower
+    t = xd * xd
+    t *= xd
     t *= _GELU_A
     t += xd
     t *= _GELU_C
     return np.tanh(t, out=t)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """tanh approximation of the Gaussian error linear unit; one node that
-    keeps only its input and recomputes the tanh for the closed-form
-    backward."""
-    xd = x.data
-    t = _gelu_tanh(xd)
-    out = t + 1.0
-    out *= xd
+def gelu_gate(y: Tensor) -> Tensor:
+    """gelu(a) * b for the two channel halves a = y[:, :h], b = y[:, h:],
+    h = y.shape[1] // 2: the gate of a gated feed-forward (tanh gelu).
+
+    One node that keeps only ``y`` and reads both halves as views, in the
+    arithmetic of ``mul(gelu(a), b)``. Backward recomputes the tanh and
+    gelu(a) and writes both halves of the input gradient.
+    """
+    if y.ndim < 2 or y.shape[1] % 2:
+        raise DimensionError(f"gelu_gate needs an even axis 1, got {y.shape}")
+    h = y.shape[1] // 2
+    a, b = y.data[:, :h], y.data[:, h:]
+    out = _gelu_tanh(a)
+    out += 1.0
+    out *= a
     out *= 0.5
+    out *= b
 
-    def bwd(g, xd=xd):
-        t = _gelu_tanh(xd)
-        dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (xd * xd)))
-        return (g * (0.5 * (1.0 + t) + 0.5 * xd * dt),)
+    def bwd(g, a=a, b=b, shape=y.shape):
+        t = _gelu_tanh(a)
+        dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (a * a)))
+        gy = np.empty(shape, dtype=a.dtype)
+        np.multiply(g * b, 0.5 * (1.0 + t) + 0.5 * a * dt, out=gy[:, :h])
+        t += 1.0
+        t *= a
+        t *= 0.5
+        np.multiply(g, t, out=gy[:, h:])
+        return (gy,)
 
-    return _make(out, (x,), bwd)
+    return _make(out, (y,), bwd)
 
 
 def softplus(x: Tensor) -> Tensor:
@@ -568,29 +562,6 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         # every contributing element receives exactly 1/count of the upstream
         g = np.asarray(g) / x.data.dtype.type(count)
         return (_expand_reduced(g, x.shape, axes, keepdims).astype(x.data.dtype, copy=False),)
-
-    return _make(np.asarray(out, dtype=x.data.dtype), (x,), bwd)
-
-
-def max_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Max reduction; ties route the gradient to the lowest linear index."""
-    axes = _norm_axes(axis, x.ndim)
-    out = x.data.max(axis=axes, keepdims=keepdims)
-    # move reduced axes (original relative order) to the back, flatten them:
-    # argmax's first-hit rule then matches lowest linear index in the original.
-    kept = tuple(i for i in range(x.ndim) if i not in axes)
-    perm = kept + tuple(sorted(axes))
-
-    def bwd(g, xd=x.data):
-        moved = xd.transpose(perm)
-        outer = moved.shape[: len(kept)]
-        flat = moved.reshape(outer + (-1,))
-        hit = np.argmax(flat, axis=-1)
-        mask_flat = np.zeros_like(flat)
-        np.put_along_axis(mask_flat, hit[..., None], 1.0, axis=-1)
-        mask = mask_flat.reshape(moved.shape).transpose(np.argsort(perm))
-        g = _expand_reduced(np.asarray(g), x.shape, axes, keepdims)
-        return (g * mask,)
 
     return _make(np.asarray(out, dtype=x.data.dtype), (x,), bwd)
 
@@ -682,58 +653,6 @@ def index(x: Tensor, idx) -> Tensor:
         return (full,)
 
     return _make(out, (x,), bwd)
-
-
-def split(x: Tensor, sizes: Iterable[int], axis: int) -> tuple:
-    """Split along an axis into chunks of the given sizes."""
-    sizes = list(sizes)
-    axis = axis % x.ndim
-    if sum(sizes) != x.shape[axis]:
-        raise DimensionError(f"split sizes {sizes} do not cover axis of length {x.shape[axis]}")
-    outs = []
-    start = 0
-    for s in sizes:
-        sl = tuple(slice(None) if a != axis else slice(start, start + s) for a in range(x.ndim))
-        outs.append(index(x, sl))
-        start += s
-    return tuple(outs)
-
-
-def pad(x: Tensor, pads: Sequence[tuple], value: float = 0.0) -> Tensor:
-    """Constant-pad; ``pads`` is (before, after) per axis."""
-    pads = tuple((int(b), int(a)) for b, a in pads)
-    if len(pads) != x.ndim:
-        raise DimensionError(f"pad spec rank {len(pads)} vs tensor rank {x.ndim}")
-    out = np.pad(x.data, pads, constant_values=x.data.dtype.type(value))
-    inner = tuple(slice(b, b + s) for (b, _), s in zip(pads, x.shape))
-
-    def bwd(g):
-        return (np.asarray(g)[inner],)
-
-    return _make(out, (x,), bwd)
-
-
-def where(mask: np.ndarray, a, b) -> Tensor:
-    """Select by a boolean/0-1 ndarray mask (the mask is not differentiated)."""
-    if isinstance(mask, Tensor):
-        mask = mask.data
-    mask = np.asarray(mask, dtype=bool)
-    if not isinstance(a, Tensor) and isinstance(b, Tensor):
-        a = _coerce(a, b)
-    if not isinstance(b, Tensor) and isinstance(a, Tensor):
-        b = _coerce(b, a)
-    _check_same_dtype(a, b, "where")
-    try:
-        out = np.where(mask, a.data, b.data)
-    except ValueError as e:
-        raise DimensionError(f"where: shapes {mask.shape}, {a.shape}, {b.shape} do not broadcast") from e
-
-    def bwd(g, a=a, b=b):
-        ga = _unbroadcast(np.where(mask, g, 0), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(np.where(mask, 0, g), b.shape) if b.requires_grad else None
-        return ga, gb
-
-    return _make(out, (a, b), bwd)
 
 
 def upsample_nearest2x(x: Tensor) -> Tensor:

@@ -249,6 +249,24 @@ def test_mamba_block_tape_holds_no_state_sized_output():
     assert all(node.out.size != state_size for node in tape.nodes)
 
 
+def test_mamba_blocks_share_one_positional_table():
+    # every block at one (L, C, dtype) adds the same constant table object
+    x = Tensor(rng(46).standard_normal((1, 4, 3, 5)).astype(np.float32), requires_grad=True)
+    with T.Tape() as tape:
+        for seed in (47, 48):
+            B.MambaBlock(4, rng(seed), state_dim=2)(x)
+        tables = [node.inputs[1] for node in tape.nodes
+                  if len(node.inputs) == 2 and node.inputs[1].shape == (15, 4)
+                  and not node.inputs[1].requires_grad]
+    assert len(tables) == 2 and tables[0] is tables[1]
+    np.testing.assert_array_equal(tables[0].data, B.positional_encoding(15, 4, np.float32))
+    wide = B.MambaBlock(4, rng(49), state_dim=2, dtype=np.float64)
+    with T.Tape() as tape:
+        wide(Tensor(x.data.astype(np.float64), requires_grad=True))
+        assert any(node.inputs[1].dtype == np.float64 and node.inputs[1].shape == (15, 4)
+                   for node in tape.nodes if len(node.inputs) == 2)
+
+
 def test_mamba_block_gradients():
     mb = B.MambaBlock(2, rng(27), state_dim=2, expand=2, chunk_len=4, dtype=np.float64)
     report = check_module_gradients(mb, rng(28).standard_normal((1, 2, 4, 4)))
@@ -259,10 +277,12 @@ def test_mamba_block_gradients():
 
 
 def test_gdfn_hidden_width_rule():
+    # the hidden width is the project conv's input width
     g = B.Gdfn(16, rng(29), dtype=np.float64)
-    assert g._hidden == round(2.66 * 16)
+    assert g.project.w.shape[0] == round(2.66 * 16)
+    assert g.expand.w.shape[1] == 2 * round(2.66 * 16)
     tiny = B.Gdfn(2, rng(30), dtype=np.float64)
-    assert tiny._hidden >= 2
+    assert tiny.project.w.shape[0] >= 2
 
 
 def test_gdfn_shape():
@@ -318,8 +338,10 @@ def test_each_layer_records_one_node(make, shape):
 
 
 def test_sub_block_tape_budget():
-    # pinned at the fused layers: norm, convs and gelu are one node each
-    assert _recorded_nodes(B.Gdfn(8, rng(43)), (1, 8, 8, 8)) <= 8
+    # pinned at the fused layers: norm, convs and the gelu gate are one node
+    # each; context broadcast adds a mean and an add
+    assert _recorded_nodes(B.Gdfn(8, rng(43)), (1, 8, 8, 8)) == 5
+    assert _recorded_nodes(B.Gdfn(8, rng(43), context_broadcast=True), (1, 8, 8, 8)) == 7
     assert _recorded_nodes(B.Srsa(8, rng(44)), (1, 8, 8, 8)) <= 30
 
 

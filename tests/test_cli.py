@@ -296,3 +296,22 @@ def test_mask_gen_writes_masks_and_manifest(tmp_path, capsys):
 def test_mask_gen_rejects_unknown_bucket(tmp_path):
     assert main(["mask-gen", "--out", str(tmp_path / "m"),
                  "--bucket", "huge"]) == 2
+
+
+def test_gradcheck_unknown_block_is_a_usage_error(capsys):
+    # names are checked before any check runs
+    rc = main(["gradcheck", "--blocks", "layer_norm,nope"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert "block=" not in out.out
+    assert out.err.startswith("usage error:")
+    assert "nope" in out.err and "mamba_block" in out.err
+
+
+@pytest.mark.parametrize("flag,value", [("--size", "0"), ("--size", "-8"),
+                                        ("--count", "0"), ("--count", "-1")])
+def test_mask_gen_rejects_sizes_below_one(tmp_path, capsys, flag, value):
+    out_dir = tmp_path / "m"
+    assert main(["mask-gen", "--out", str(out_dir), flag, value]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out_dir.exists()

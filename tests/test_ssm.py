@@ -52,6 +52,20 @@ def unrolled_recurrence(a, b):
     return h
 
 
+def recurrence_chunked(a, b, chunk_len):
+    """The recurrence stepped chunk_len steps at a time with the fused scan's
+    own kernel, `_step_chunk`, in its time-major layout, carrying the state
+    between chunks. Every chunk_len gives the sequential update bit for bit."""
+    h = np.empty_like(b)
+    a_tm, b_tm, h_tm = (v.swapaxes(0, 1) for v in (a, b, h))
+    carry = np.zeros(b.shape[:1] + b.shape[2:], dtype=b.dtype)
+    for s in range(0, b.shape[1], chunk_len):
+        e = min(s + chunk_len, b.shape[1])
+        h_tm[s:e] = S._step_chunk(a_tm[s:e].copy(), b_tm[s:e], carry)
+        carry = h_tm[e - 1]
+    return h
+
+
 # ---- ZOH discretization ---------------------------------------------------------
 
 
@@ -160,7 +174,7 @@ def test_sequential_matches_unrolled_oracle():
 def test_chunked_matches_unrolled_oracle(chunk):
     a = rng(9).uniform(-0.99, 0.99, (2, 21, 2, 2))
     b = rng(10).standard_normal((2, 21, 2, 2))
-    got = S.recurrence_chunked(a, b, chunk)
+    got = recurrence_chunked(a, b, chunk)
     np.testing.assert_allclose(got, unrolled_recurrence(a, b), rtol=1e-10, atol=1e-12)
 
 
@@ -168,7 +182,7 @@ def test_chunk_len_one_is_bitwise_sequential():
     a = rng(11).uniform(-1, 1, (3, 50, 4))
     b = rng(12).standard_normal((3, 50, 4))
     seq = S.recurrence_sequential(a, b)
-    ch1 = S.recurrence_chunked(a, b, 1)
+    ch1 = recurrence_chunked(a, b, 1)
     assert np.array_equal(seq, ch1)
 
 
@@ -183,7 +197,7 @@ def test_chunked_equals_sequential_property(L, chunk, seed):
     a = r.uniform(0.0, 1.0, (1, L, 3)).astype(np.float64)
     b = r.standard_normal((1, L, 3))
     np.testing.assert_allclose(
-        S.recurrence_chunked(a, b, chunk), S.recurrence_sequential(a, b), rtol=1e-11, atol=1e-13
+        recurrence_chunked(a, b, chunk), S.recurrence_sequential(a, b), rtol=1e-11, atol=1e-13
     )
 
 
@@ -220,14 +234,14 @@ def test_scan_float32_bit_equal_to_reference_at_paper_level0():
         a_bar, b_bar = S.discretize_zoh(T.reshape(p.decay(), (1, 1, E, N)),
                                         T.reshape(bt, (1, 64 * 64, 1, N)),
                                         T.reshape(delta, (1, 64 * 64, E, 1)))
-        h = S.recurrence_chunked(a_bar.data, b_bar.data * x.data[..., None], 64)
+        h = recurrence_chunked(a_bar.data, b_bar.data * x.data[..., None], 64)
         ref = (h * ct.data[:, :, None, :]).sum(axis=-1)
         got = S.scan_chunked(x, p, chunk_len=64).data
     assert got.dtype == np.float32
     assert np.array_equal(got, ref)
 
 
-def unfused_scan_f32(x, p, recurrence=lambda a, b: S.recurrence_chunked(a, b, 64)):
+def unfused_scan_f32(x, p, recurrence=lambda a, b: recurrence_chunked(a, b, 64)):
     """The level-0 test's reference chain: discretize_zoh, a recurrence kernel
     (recurrence_chunked by default) and a readout summed over the trailing N
     axis."""

@@ -22,20 +22,23 @@ def check(build, *arrays):
 
 # ---- elementwise forward/backward -------------------------------------------
 
+
+def _gelu(t):
+    # gelu is the gate half of gelu_gate; an all-ones value half passes it through
+    return T.gelu_gate(T.concat([t, Tensor(np.ones_like(t.data))], axis=1))
+
+
 UNARY = {
     "neg": (T.neg, lambda x: -x, (-3, 3)),
     "exp": (T.exp, np.exp, (-3, 3)),
-    "log": (T.log, np.log, (0.1, 5)),
-    "sqrt": (T.sqrt, np.sqrt, (0.1, 5)),
     "abs": (T.abs_, np.abs, (0.2, 3)),  # keep away from the kink
     "tanh": (T.tanh, np.tanh, (-3, 3)),
-    "sigmoid": (T.sigmoid, lambda x: 1 / (1 + np.exp(-x)), (-3, 3)),
     "silu": (T.silu, lambda x: x / (1 + np.exp(-x)), (-3, 3)),
     "softplus": (T.softplus, lambda x: np.log1p(np.exp(x)), (-3, 3)),
     "relu": (T.relu, lambda x: np.maximum(x, 0), (0.2, 3)),
     "leaky_relu": (T.leaky_relu, lambda x: np.where(x > 0, x, 0.2 * x), (0.2, 3)),
     "gelu": (
-        T.gelu,
+        _gelu,
         lambda x: 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x**3))),
         (-3, 3),
     ),
@@ -134,7 +137,7 @@ def test_matmul_rank_and_inner_dim_errors():
 @pytest.mark.parametrize("axis,keepdims", [(None, False), (0, False), ((0, 2), True), (-1, True)])
 def test_sum_mean_max_gradients(axis, keepdims):
     x = rng(15).uniform(-2, 2, (3, 4, 5))
-    for red in (T.sum_, T.mean, T.max_):
+    for red in (T.sum_, T.mean):
         check(lambda t: T.sum_(red(t, axis, keepdims) * 1.7), x)
 
 
@@ -143,18 +146,6 @@ def test_mean_backward_distributes_inverse_count():
     with Tape():
         T.mean(x).backward()
     np.testing.assert_array_equal(x.grad, np.full((3, 4), 1.0 / 12.0))
-
-
-def test_max_tie_breaks_to_lowest_linear_index():
-    x = Tensor(np.array([[3.0, 1.0], [3.0, 3.0]]), requires_grad=True, dtype=np.float64)
-    with Tape():
-        T.max_(x).backward()
-    np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 0.0]])
-
-    y = Tensor(np.array([[2.0, 2.0], [1.0, 5.0]]), requires_grad=True, dtype=np.float64)
-    with Tape():
-        T.sum_(T.max_(y, axis=1)).backward()
-    np.testing.assert_array_equal(y.grad, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_sum_multi_axis_matches_numpy():
@@ -211,7 +202,7 @@ def test_concat_split_roundtrip_and_grads():
 
     x = Tensor(np.arange(12, dtype=np.float64).reshape(2, 6), requires_grad=True)
     with Tape():
-        parts = T.split(x, [2, 4], axis=1)
+        parts = x[:, :2], x[:, 2:]
         np.testing.assert_array_equal(parts[0].data, x.data[:, :2])
         np.testing.assert_array_equal(parts[1].data, x.data[:, 2:])
         (T.sum_(parts[0] * 2.0) + T.sum_(parts[1])).backward()
@@ -221,24 +212,10 @@ def test_concat_split_roundtrip_and_grads():
 
 def test_pad_index_gradients():
     x = rng(26).standard_normal((2, 3))
-    check(lambda t: T.sum_(T.pad(t, [(1, 1), (2, 0)]) * 3.0), x)
     check(lambda t: T.sum_(t[0:2, 1:3] * 5.0), x)
     # strided slice (used by stride-2 convs)
     y = rng(27).standard_normal((6, 6))
     check(lambda t: T.sum_(t[::2, 1::2] * 2.0), y)
-
-
-def test_where_gradient_routes_by_mask():
-    mask = np.array([[True, False], [False, True]])
-    a = rng(28).standard_normal((2, 2))
-    b = rng(29).standard_normal((2, 2))
-    check(lambda x, y: T.sum_(T.where(mask, x, y) * 1.3), a, b)
-    x = Tensor(a, requires_grad=True, dtype=np.float64)
-    y = Tensor(b, requires_grad=True, dtype=np.float64)
-    with Tape():
-        T.sum_(T.where(mask, x, y)).backward()
-    np.testing.assert_array_equal(x.grad, mask.astype(float))
-    np.testing.assert_array_equal(y.grad, 1.0 - mask)
 
 
 def test_upsample_nearest_forward_and_grad():
@@ -468,18 +445,18 @@ def test_matmul_backward_uses_forward_time_weights():
 
 
 @pytest.mark.parametrize("op", [
-    lambda v, w: v * w,                  # _binary
-    lambda v, w: T.log(w) * v,           # _unary reads its input
-    lambda v, w: T.max_(w * v, axis=0),  # max routes by the input
+    lambda v, w: v * w,                   # _binary
+    lambda v, w: T.layer_norm(w, v, v),   # the normalized input is recomputed
+    lambda v, w: T.gelu_gate(w) * v,      # both halves are read in backward
 ])
 def test_backward_uses_forward_time_values(op):
     def grads(rebind):
         v = Tensor(np.array([1.5, -0.5]), requires_grad=True, dtype=np.float64)
-        w = Tensor(np.array([2.0, 3.0]), requires_grad=True, dtype=np.float64)
+        w = Tensor(np.array([[2.0, 3.0]]), requires_grad=True, dtype=np.float64)
         with Tape():
             y = T.sum_(op(v, w))
             if rebind:
-                w.data = w.data[::-1] * 10.0
+                w.data = w.data[:, ::-1] * 10.0
             y.backward()
         return v.grad, w.grad
 
@@ -524,6 +501,20 @@ def test_tape_exit_frees_recorded_activations():
     finally:
         gc.enable()
     np.testing.assert_allclose(x.grad, 2.0 * np.e)
+
+
+def test_backward_under_another_tape_raises():
+    # a sweep of the inner tape would never reach the root: it must not be
+    # a silent no-op
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    with Tape() as outer:
+        y = T.sum_(x * 2.0)
+        with Tape():
+            with pytest.raises(ContractError, match="active tape"):
+                y.backward()
+        assert len(outer) == 2 and x.grad is None
+        y.backward()
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_backward_after_tape_exit_raises():
@@ -605,10 +596,34 @@ def test_layer_norm_gradients_property(bsz, c, h, w, axis, seed):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 5), st.integers(0, 2**16))
-def test_gelu_gradients_property(n, m, seed):
-    x = rng(seed).uniform(-4, 4, (n, m))
-    _fd_check_fused(T.gelu, [x], (n, m), seed + 1)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**16))
+def test_gelu_gate_gradients_property(n, h, m, seed):
+    y = rng(seed).uniform(-4, 4, (n, 2 * h, m))
+    _fd_check_fused(T.gelu_gate, [y], (n, h, m), seed + 1)
+
+
+def test_gelu_gate_float32_bit_equal_to_gelu_times_value():
+    # the arithmetic of gelu(a) * b as separate numpy steps, a and b the halves
+    r = rng(45)
+    y = Tensor(r.uniform(-4, 4, (2, 10, 3, 5)).astype(np.float32), requires_grad=True)
+    w = Tensor(r.standard_normal((2, 5, 3, 5)).astype(np.float32))
+    a, b, g = y.data[:, :5].copy(), y.data[:, 5:].copy(), w.data
+    c, k = 0.7978845608028654, 0.044715
+    t = np.tanh(c * (a + k * (a * a * a)))
+    gelu = (1.0 + t) * a * 0.5
+    dgelu = 0.5 * (1.0 + t) + 0.5 * a * ((1.0 - t * t) * (c * (1.0 + 3.0 * k * (a * a))))
+    with Tape():
+        out = T.gelu_gate(y)
+        T.sum_(out * w).backward()
+    assert out.dtype == np.float32 and y.grad.dtype == np.float32
+    assert np.array_equal(out.data, gelu * b)
+    assert np.array_equal(y.grad[:, :5], (g * b) * dgelu)
+    assert np.array_equal(y.grad[:, 5:], g * gelu)
+
+
+def test_gelu_gate_rejects_odd_channels():
+    with pytest.raises(DimensionError):
+        T.gelu_gate(Tensor(np.zeros((1, 3, 2))))
 
 
 def test_fused_ops_record_one_node_and_keep_float32():
@@ -623,7 +638,7 @@ def test_fused_ops_record_one_node_and_keep_float32():
         (T.depthwise_conv2d, (x4, leaf(9, 3), leaf(3)), (3, 1)),
         (T.causal_conv1d, (x3, leaf(4, 3), leaf(3)), ()),
         (T.layer_norm, (x4, leaf(3), leaf(3)), (1,)),
-        (T.gelu, (x3,), ()),
+        (T.gelu_gate, (x3,), ()),
     ]
     for op, inputs, args in cases:
         with Tape() as tape:
