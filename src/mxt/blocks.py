@@ -2,10 +2,11 @@
 
 Spatial tensors are (B, C, H, W); sequence tensors are (B, L, C) with L = H*W
 in raster (row-major) order. Each layer (Conv2d, DepthwiseConv2d,
-CausalConv1d, LayerNorm, ChannelLayerNorm) is one call to a fused tensor op
-with a hand-written backward, so it records one tape node that keeps only its
-inputs; the sub-blocks compose those layers with generic tape ops, and the
-feed-forward's gate is the one-node ``gelu_gate``. Every MambaBlock reads its
+CausalConv1d, LayerNorm, ChannelLayerNorm, Linear) is one call to a fused
+tensor op with a hand-written backward, so it records one tape node that
+keeps only its inputs; the sub-blocks compose those layers with generic tape
+ops, the feed-forward's gate is the one-node ``gelu_gate`` and the attention
+weights are the one-node ``matmul_softmax``. Every MambaBlock reads its
 positional table from one shared cache, one constant table per (L, C, dtype).
 """
 
@@ -75,8 +76,7 @@ class Linear(Module):
         self.b = _uniform(rng, (cout,), k, dtype) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.w)
-        return y + self.b if self.b is not None else y
+        return T.linear(x, self.w, self.b)
 
 
 class LayerNorm(Module):
@@ -203,11 +203,10 @@ class Srsa(Module):
         q, k, v = qkv[:, :c], qkv[:, c : 2 * c], qkv[:, 2 * c :]
         kp = T.reshape(T.adaptive_avg_pool2d(k, (s, s)), (bsz, hds, dh, s * s))
         vp = T.reshape(T.adaptive_avg_pool2d(v, (s, s)), (bsz, hds, dh, s * s))
-        scores = T.matmul(T.transpose(kp, (0, 1, 3, 2)),
-                          T.reshape(q, (bsz, hds, dh, h * w)))  # (B, heads, s*s, HW)
-        if self._scale:
-            scores = scores * (1.0 / np.sqrt(dh))
-        return v, T.softmax(scores, axis=-2), vp
+        att_t = T.matmul_softmax(T.transpose(kp, (0, 1, 3, 2)),
+                                 T.reshape(q, (bsz, hds, dh, h * w)),   # (B, heads, s*s, HW)
+                                 axis=-2, scale=1.0 / np.sqrt(dh) if self._scale else None)
+        return v, att_t, vp
 
     def forward(self, x: Tensor) -> Tensor:
         v, att_t, vp = self._attention(x)

@@ -286,6 +286,8 @@ def scan_time_ratio(length: int, channels: int = 8, state_dim: int = 8,
 
 
 def cmd_scan_bench(args) -> int:
+    _require_positive(("--length", args.length), ("--channels", args.channels),
+                      ("--state-dim", args.state_dim))
     t1, t2, ratio = scan_time_ratio(args.length, args.channels, args.state_dim,
                                     args.repeats, args.seed or 0)
     print(f"L={args.length} s={t1:.6f}")

@@ -13,12 +13,15 @@ tape, so memory falls during the sweep. A second sweep through a consumed
 node raises ``ContractError``; leaf ``.grad``s accumulate across sweeps of
 separate graphs. Nodes a sweep did not reach stay until the tape exits. A
 root recorded on another tape than the innermost open one raises
-``ContractError`` instead of sweeping nothing.
+``ContractError`` instead of sweeping nothing. The open tapes and the
+``no_grad`` switch are context variables, so each thread records on its own.
 
 Besides the elementwise, reduction and shape ops, each layer is one fused
 op with a hand-written backward that keeps only its inputs: ``conv2d``,
-``depthwise_conv2d``, ``causal_conv1d``, ``layer_norm`` and ``gelu_gate``,
-the gelu-gated product of a tensor's two channel halves.
+``depthwise_conv2d``, ``causal_conv1d``, ``layer_norm``, ``linear`` (a
+matmul plus bias) and ``gelu_gate``, the gelu-gated product of a tensor's
+two channel halves. ``matmul_softmax`` keeps its two operands and its
+output, not the scores between them.
 
 Two float widths exist: float32 (standard) and float64 (wide). float32 is
 the fixed default: layers are float64 only when built with
@@ -30,6 +33,7 @@ implicit promotion; python scalars adopt the tensor's width.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Sequence
 
 import numpy as np
@@ -76,11 +80,11 @@ class Tape:
         return len(self.nodes)
 
     def __enter__(self) -> "Tape":
-        _tape_stack.append(self)
+        _tape_stack.set(_tape_stack.get() + (self,))
         return self
 
     def __exit__(self, *exc) -> None:
-        _tape_stack.pop()
+        _tape_stack.set(_tape_stack.get()[:-1])
         # break the Node <-> Tensor cycles so refcounting frees the recorded
         # activations as soon as nothing else holds them; the sentinel keeps
         # "recorded on a closed tape" apart from "leaf"
@@ -93,25 +97,27 @@ _EXITED = Node(None, (), None)
 # ``Tensor._node`` of an op output whose node a backward sweep has consumed
 _SWEPT = Node(None, (), None)
 
-# the base tape stays empty: ops record only while a ``with Tape()`` is open
-_tape_stack: list[Tape] = [Tape()]
-_grad_enabled = True
+# Per context, so per thread: the open tapes above the base tape, which
+# stays empty (ops record only while a ``with Tape()`` is open), and whether
+# recording is on.
+_tape_stack: contextvars.ContextVar[tuple] = contextvars.ContextVar(
+    "mxt_tape_stack", default=(Tape(),))
+_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "mxt_grad_enabled", default=True)
 
 
 def active_tape() -> Tape:
-    return _tape_stack[-1]
+    return _tape_stack.get()[-1]
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable recording; ops inside produce constant tensors."""
-    global _grad_enabled
-    old = _grad_enabled
-    _grad_enabled = False
+    """Disable recording in this thread; ops inside produce constant tensors."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = old
+        _grad_enabled.reset(token)
 
 
 def _contig(arr: np.ndarray) -> np.ndarray:
@@ -302,7 +308,8 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 def needs_grad(inputs: tuple) -> bool:
     """Whether an op on these inputs gets recorded for backward."""
-    return _grad_enabled and len(_tape_stack) > 1 and any(t.requires_grad for t in inputs)
+    return (_grad_enabled.get() and len(_tape_stack.get()) > 1
+            and any(t.requires_grad for t in inputs))
 
 
 def _make(out_data: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
@@ -498,27 +505,85 @@ def softplus(x: Tensor) -> Tensor:
 # ---- matmul ------------------------------------------------------------------
 
 
+def _matmul_data(a: Tensor, b: Tensor, op: str) -> np.ndarray:
+    """a.data @ b.data after the shape and width checks every matmul op shares."""
+    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
+        raise ContractError(f"{op} expects tensors on both sides")
+    _check_same_dtype(a, b, op)
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError(f"{op} needs rank >= 2, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"{op} inner dims differ: {a.shape} @ {b.shape}")
+    try:
+        return np.matmul(a.data, b.data)
+    except ValueError as e:
+        raise DimensionError(f"{op} batch dims do not broadcast: {a.shape} @ {b.shape}") from e
+
+
+def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor, ad: np.ndarray, bd: np.ndarray) -> tuple:
+    """Gradients of a @ b for upstream g, from the forward-time operands."""
+    ga = gb = None
+    if a.requires_grad:
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
+    if b.requires_grad:
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
+    return ga, gb
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product; leading dims broadcast, last two contract."""
-    if not isinstance(a, Tensor) or not isinstance(b, Tensor):
-        raise ContractError("matmul expects tensors on both sides")
-    _check_same_dtype(a, b, "matmul")
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs rank >= 2, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError as e:
-        raise DimensionError(f"matmul batch dims do not broadcast: {a.shape} @ {b.shape}") from e
+    out = _matmul_data(a, b, "matmul")
 
     def bwd(g, ad=a.data, bd=b.data):
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
-        return ga, gb
+        return _matmul_grads(g, a, b, ad, bd)
+
+    return _make(out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+    """x @ w + b, with ``b`` (w.shape[-1],) or None: one node that keeps only
+    x and w. The bias is added in place to the product, in the arithmetic of
+    ``add(matmul(x, w), b)``, so the pre-bias product is never kept."""
+    out = _matmul_data(x, w, "linear")
+    inputs = _layer_inputs("linear", x, w, b)
+    if b is not None:
+        if b.shape != (w.shape[-1],):
+            raise DimensionError(f"linear: bias {b.shape} does not fit weight {w.shape}")
+        out += b.data
+
+    def bwd(g, xd=x.data, wd=w.data):
+        gx, gw = _matmul_grads(g, x, w, xd, wd)
+        if b is None:
+            return gx, gw
+        return gx, gw, (_unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _make(out, inputs, bwd)
+
+
+def matmul_softmax(a: Tensor, b: Tensor, axis: int = -1, scale: float | None = None) -> Tensor:
+    """softmax(scale * (a @ b)) along ``axis``, numerically stable; rejects
+    NaN scores. ``scale`` None skips the product.
+
+    One node that keeps a, b and its output, not the scores between them:
+    the softmax backward needs only the output. The forward runs in place on
+    the product, in the arithmetic of ``matmul``, ``mul`` and the max-shifted
+    softmax, so values and gradients equal that chain's.
+    """
+    s = _matmul_data(a, b, "matmul_softmax")
+    if scale is not None:
+        scale = np.asarray(scale, dtype=s.dtype)
+        s *= scale
+    if np.isnan(s).any():
+        raise NumericError("matmul_softmax: NaN in scores")
+    s -= s.max(axis=axis, keepdims=True)
+    out = np.exp(s, out=s)
+    out /= out.sum(axis=axis, keepdims=True)
+
+    def bwd(g, ad=a.data, bd=b.data):
+        gs = out * (g - (g * out).sum(axis=axis, keepdims=True))
+        if scale is not None:
+            gs *= scale
+        return _matmul_grads(gs, a, b, ad, bd)
 
     return _make(out, (a, b), bwd)
 
@@ -564,21 +629,6 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return (_expand_reduced(g, x.shape, axes, keepdims).astype(x.data.dtype, copy=False),)
 
     return _make(np.asarray(out, dtype=x.data.dtype), (x,), bwd)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis; rejects NaN input."""
-    if np.isnan(x.data).any():
-        raise NumericError("softmax: NaN in input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g, axis=axis):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (x,), bwd)
 
 
 # ---- shape ops -----------------------------------------------------------------
@@ -709,18 +759,29 @@ def _layer_inputs(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> tuple:
     return inputs
 
 
-def _im2col(xd: np.ndarray, k: int, stride: int, pad: int, oh: int, ow: int) -> np.ndarray:
-    """(B, k*k*cin, oh*ow) columns; row (dy*k + dx)*cin + ci is tap (dy, dx)
-    of channel ci. A 1x1 stride-1 unpadded conv needs no copy."""
-    bsz, cin = xd.shape[:2]
-    if k == 1 and stride == 1 and pad == 0:
-        return xd.reshape(bsz, cin, oh * ow)
-    xp = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
-    col = np.empty((bsz, k, k, cin, oh, ow), dtype=xd.dtype)
+# conv2d builds its forward columns in bands of output rows of about this
+# many bytes each
+_COLUMN_BYTES = 1 << 21
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, rows: range, ow: int) -> np.ndarray:
+    """(B, k*k*cin, len(rows)*ow) columns of output rows ``rows`` of a conv
+    over the already padded xp; row (dy*k + dx)*cin + ci is tap (dy, dx) of
+    channel ci. A 1x1 stride-1 conv over all rows needs no copy."""
+    bsz, cin = xp.shape[:2]
+    n = len(rows)
+    if k == 1 and stride == 1 and n == xp.shape[2]:
+        return xp.reshape(bsz, cin, n * ow)
+    col = np.empty((bsz, k, k, cin, n, ow), dtype=xp.dtype)
     for dy in range(k):
         for dx in range(k):
-            col[:, dy, dx] = xp[:, :, dy : dy + oh * stride : stride, dx : dx + ow * stride : stride]
-    return col.reshape(bsz, k * k * cin, oh * ow)
+            col[:, dy, dx] = xp[:, :, dy + rows.start * stride : dy + rows.stop * stride : stride,
+                                dx : dx + ow * stride : stride]
+    return col.reshape(bsz, k * k * cin, n * ow)
+
+
+def _pad2d(xd: np.ndarray, pad: int) -> np.ndarray:
+    return np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad))) if pad else xd
 
 
 def _col2im(dcol: np.ndarray, shape: tuple, k: int, stride: int, pad: int,
@@ -743,8 +804,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, stride: int = 1,
 
     ``w`` is (k*k*cin, cout), row (dy*k + dx)*cin + ci holding tap (dy, dx) of
     input channel ci; ``b`` is (cout,) or None. The output w^T @ im2col(x)
-    lands in (B, cout, oh*ow) order, so NCHW needs no transpose. Backward
-    rebuilds the columns for dw and scatter-adds w @ g back onto x (col2im).
+    lands in (B, cout, oh*ow) order, so NCHW needs no transpose. The forward
+    builds the columns for one band of output rows at a time, each about
+    ``_COLUMN_BYTES``; every output element keeps its whole k*k*cin
+    contraction, so the banding does not change a value. Backward rebuilds
+    all the columns for dw and scatter-adds w @ g back onto x (col2im).
     """
     inputs = _layer_inputs("conv2d", x, w, b)
     if x.ndim != 4:
@@ -758,7 +822,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, stride: int = 1,
     ow = (wd + 2 * pad - k) // stride + 1
     if oh < 1 or ow < 1:
         raise DimensionError(f"conv2d: {k}x{k} kernel does not fit input {x.shape} with pad {pad}")
-    out = np.matmul(np.ascontiguousarray(w.data.T), _im2col(x.data, k, stride, pad, oh, ow))
+    wt, xp = np.ascontiguousarray(w.data.T), _pad2d(x.data, pad)
+    band = max(1, _COLUMN_BYTES // (bsz * k * k * cin * ow * x.data.itemsize))
+    if band >= oh or (k == 1 and stride == 1):
+        out = np.matmul(wt, _im2col(xp, k, stride, range(oh), ow))
+    else:
+        out = np.empty((bsz, cout, oh * ow), dtype=x.data.dtype)
+        for r in range(0, oh, band):
+            rows = range(r, min(r + band, oh))
+            out[:, :, r * ow : rows.stop * ow] = np.matmul(wt, _im2col(xp, k, stride, rows, ow))
     if b is not None:
         out += b.data[:, None]
     out = out.reshape(bsz, cout, oh, ow)
@@ -769,7 +841,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, stride: int = 1,
         if x.requires_grad:
             gx = _col2im(np.matmul(wd, g), xd.shape, k, stride, pad, oh, ow)
         if w.requires_grad:
-            col = _im2col(xd, k, stride, pad, oh, ow)
+            col = _im2col(_pad2d(xd, pad), k, stride, range(oh), ow)
             gw = np.matmul(col, g.transpose(0, 2, 1)).sum(axis=0)
         if b is None:
             return gx, gw

@@ -68,6 +68,36 @@ def test_conv2d_matches_oracle(stride, pad):
     np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_row_bands_equal_one_matmul_over_all_columns(monkeypatch, stride):
+    # bands of 2 output rows: 9 rows at stride 1 and 5 at stride 2, so the
+    # last band is ragged; pad 1 puts zeros at both edges of the first and
+    # last band
+    k, pad = 3, 1
+    r = rng(46)
+    x = r.standard_normal((2, 3, 9, 7)).astype(np.float32)
+    w = r.standard_normal((k * k * 3, 5)).astype(np.float32)
+    b = r.standard_normal(5).astype(np.float32)
+    oh, ow = (9 + 2 * pad - k) // stride + 1, (7 + 2 * pad - k) // stride + 1
+    # the reference: every column at once, then one matmul and the bias
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    col = win.transpose(0, 4, 5, 1, 2, 3).reshape(2, k * k * 3, oh * ow)
+    ref = np.matmul(np.ascontiguousarray(w.T), col)
+    ref += b[:, None]
+    bands, im2col = [], T._im2col
+
+    def spy(xp, k, stride, rows, ow):
+        bands.append(rows)
+        return im2col(xp, k, stride, rows, ow)
+
+    monkeypatch.setattr(T, "_im2col", spy)
+    monkeypatch.setattr(T, "_COLUMN_BYTES", 2 * 2 * k * k * 3 * ow * 4)
+    got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), k, stride, pad).data
+    assert bands == [range(r0, min(r0 + 2, oh)) for r0 in range(0, oh, 2)]
+    assert np.array_equal(got, ref.reshape(2, 5, oh, ow))
+
+
 def test_conv1x1_matches_oracle():
     conv = B.Conv2d(4, 2, 1, rng(3), dtype=np.float64)
     x = rng(4).standard_normal((1, 4, 5, 5))
@@ -342,7 +372,11 @@ def test_sub_block_tape_budget():
     # each; context broadcast adds a mean and an add
     assert _recorded_nodes(B.Gdfn(8, rng(43)), (1, 8, 8, 8)) == 5
     assert _recorded_nodes(B.Gdfn(8, rng(43), context_broadcast=True), (1, 8, 8, 8)) == 7
-    assert _recorded_nodes(B.Srsa(8, rng(44)), (1, 8, 8, 8)) <= 30
+    # attention weights are one matmul_softmax node with or without the
+    # scale; every Linear and the scan's dt projection are one linear node
+    assert _recorded_nodes(B.Srsa(8, rng(44)), (1, 8, 8, 8)) == 17
+    assert _recorded_nodes(B.Srsa(8, rng(44), scale_qk=True), (1, 8, 8, 8)) == 17
+    assert _recorded_nodes(B.MambaBlock(8, rng(44)), (1, 8, 4, 4)) == 20
 
 
 # ---- module traversal ------------------------------------------------------------------

@@ -270,6 +270,14 @@ def test_scan_bench_reports_ratio(capsys):
     assert "L=64" in out and "L=128" in out and "ratio=" in out
 
 
+@pytest.mark.parametrize("flag,value", [("--length", "-3"), ("--length", "0"),
+                                        ("--channels", "0"), ("--state-dim", "0")])
+def test_scan_bench_rejects_sizes_below_one(capsys, flag, value):
+    assert main(["scan-bench", flag, value, "--repeats", "1"]) == 2
+    out = capsys.readouterr()
+    assert flag in out.err and "ratio=" not in out.out
+
+
 def test_scan_time_ratio_function():
     t1, t2, ratio = scan_time_ratio(64, repeats=3)
     assert t1 > 0 and t2 > 0 and ratio == t2 / t1

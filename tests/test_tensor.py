@@ -129,6 +129,10 @@ def test_matmul_rank_and_inner_dim_errors():
         T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
     with pytest.raises(DimensionError):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    with pytest.raises(DimensionError):
+        T.matmul_softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+    with pytest.raises(DimensionError):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
 
 
 # ---- reductions ----------------------------------------------------------------
@@ -155,32 +159,106 @@ def test_sum_multi_axis_matches_numpy():
     )
 
 
-# ---- softmax --------------------------------------------------------------------
+# ---- matmul_softmax ----------------------------------------------------------------
+
+
+def _softmax(x, axis=-1):
+    # x @ I is x exactly, so this is the softmax of x
+    return T.matmul_softmax(x, Tensor(np.eye(x.shape[-1]), dtype=x.dtype), axis=axis)
 
 
 def test_softmax_known_values():
-    out = T.softmax(Tensor(np.array([1.0, 2.0, 3.0]), dtype=np.float64))
-    np.testing.assert_allclose(out.data, [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
+    out = _softmax(Tensor(np.array([[1.0, 2.0, 3.0]]), dtype=np.float64))
+    np.testing.assert_allclose(out.data[0], [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
     x = rng(17).standard_normal((5, 7)) * 50  # large values: needs max subtraction
-    out = T.softmax(Tensor(x, dtype=np.float64), axis=-1)
+    out = _softmax(Tensor(x, dtype=np.float64), axis=-1)
     np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(5), atol=1e-12)
-    shifted = T.softmax(Tensor(x + 123.0, dtype=np.float64), axis=-1)
+    shifted = _softmax(Tensor(x + 123.0, dtype=np.float64), axis=-1)
     np.testing.assert_allclose(out.data, shifted.data, atol=1e-12)
 
 
 def test_softmax_gradient():
     x = rng(18).standard_normal((3, 4))
     w = Tensor(rng(19).standard_normal((3, 4)), dtype=np.float64)
-    check(lambda t: T.sum_(T.softmax(t, axis=-1) * w), x)
+    check(lambda t: T.sum_(_softmax(t, axis=-1) * w), x)
+    # both operands, scaled, along a non-last axis, with broadcast batch dims
+    a, b = rng(20).standard_normal((2, 1, 3, 4)), rng(21).standard_normal((3, 4, 5))
+    w = Tensor(rng(22).standard_normal((2, 3, 3, 5)), dtype=np.float64)
+    check(lambda s, t: T.sum_(T.matmul_softmax(s, t, axis=-2, scale=0.7) * w), a, b)
 
 
 def test_softmax_nan_raises_numeric_error():
-    bad = np.array([1.0, np.nan, 2.0])
+    bad = np.array([[1.0, np.nan, 2.0]])
     with pytest.raises(NumericError):
-        T.softmax(Tensor(bad, dtype=np.float64))
+        _softmax(Tensor(bad, dtype=np.float64))
+
+
+def _softmax_node(x, axis):
+    """The separate softmax node matmul_softmax fuses away; it keeps its input."""
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def bwd(g):
+        return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
+
+    return T._make(out, (x,), bwd)
+
+
+def _float32_run(op, inputs, out_shape, seed):
+    """(output, input grads) of sum(op(*inputs) * w) for a fixed random w."""
+    w = Tensor(rng(seed).standard_normal(out_shape).astype(np.float32))
+    for t in inputs:
+        t.grad = None
+    with Tape():
+        y = op(*inputs)
+        T.sum_(y * w).backward()
+    return [y.data] + [t.grad for t in inputs]
+
+
+def _float32_leaves(seed, *shapes):
+    r = rng(seed)
+    return [Tensor((r.standard_normal(s) * 2).astype(np.float32), requires_grad=True)
+            for s in shapes]
+
+
+@pytest.mark.parametrize("a_shape,b_shape,scale", [
+    ((2, 3, 4), (2, 4, 6), None),
+    ((2, 3, 4), (2, 4, 6), 1.0 / np.sqrt(4)),
+    ((2, 2, 5, 3), (2, 2, 3, 7), None),
+    ((2, 2, 5, 3), (2, 2, 3, 7), 1.0 / np.sqrt(3)),
+])
+def test_matmul_softmax_float32_bit_equal_to_unfused_chain(a_shape, b_shape, scale):
+    a, b = _float32_leaves(47, a_shape, b_shape)
+    out_shape = a_shape[:-1] + b_shape[-1:]
+
+    def chain(a, b):
+        s = T.matmul(a, b)
+        return _softmax_node(s if scale is None else s * scale, -2)
+
+    fused = _float32_run(lambda a, b: T.matmul_softmax(a, b, axis=-2, scale=scale),
+                         (a, b), out_shape, 48)
+    ref = _float32_run(chain, (a, b), out_shape, 48)
+    assert fused[0].dtype == np.float32
+    for got, want in zip(fused, ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("x_shape", [(2, 5, 4), (2, 3, 5, 4)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_float32_bit_equal_to_matmul_plus_bias(x_shape, bias):
+    x, w, b = _float32_leaves(49, x_shape, (4, 6), (6,))
+    inputs = (x, w, b) if bias else (x, w)
+    out_shape = x_shape[:-1] + (6,)
+    fused = _float32_run(lambda x, w, *b: T.linear(x, w, b[0] if b else None),
+                         inputs, out_shape, 50)
+    ref = _float32_run(lambda x, w, *b: T.matmul(x, w) + b[0] if b else T.matmul(x, w),
+                       inputs, out_shape, 50)
+    assert fused[0].dtype == np.float32
+    for got, want in zip(fused, ref):
+        assert np.array_equal(got, want)
 
 
 # ---- shape ops -------------------------------------------------------------------
@@ -400,6 +478,40 @@ def test_detach_blocks_gradient():
         z = y.detach() * x
         z.backward()
     assert x.grad == pytest.approx(6.0)  # only the direct factor, not through y
+
+
+def test_grad_mode_and_open_tapes_are_per_thread():
+    import threading
+
+    # three threads meet at each barrier: one sits in no_grad, one records
+    # on its own tape, the main thread runs an op outside any tape
+    w = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    meet = threading.Barrier(3, timeout=10)
+    seen = {}
+
+    def quiet():
+        with T.no_grad():
+            meet.wait()
+            meet.wait()
+
+    def record():
+        with Tape() as tape:
+            meet.wait()
+            seen["y"] = w * 2.0
+            meet.wait()
+            seen["nodes"] = len(tape)
+
+    threads = [threading.Thread(target=f) for f in (quiet, record)]
+    for t in threads:
+        t.start()
+    meet.wait()
+    z = w * 3.0
+    meet.wait()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    assert seen["nodes"] == 1 and seen["y"].requires_grad
+    assert not z.requires_grad and len(T.active_tape()) == 0
 
 
 def test_tape_context_isolates_recording():
@@ -639,6 +751,8 @@ def test_fused_ops_record_one_node_and_keep_float32():
         (T.causal_conv1d, (x3, leaf(4, 3), leaf(3)), ()),
         (T.layer_norm, (x4, leaf(3), leaf(3)), (1,)),
         (T.gelu_gate, (x3,), ()),
+        (T.linear, (x3, leaf(3, 4), leaf(4)), ()),
+        (T.matmul_softmax, (x3, leaf(3, 5)), (-2, 0.5)),
     ]
     for op, inputs, args in cases:
         with Tape() as tape:

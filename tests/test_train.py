@@ -187,6 +187,31 @@ def test_numeric_abort_leaves_state_untouched(tmp_path):
     assert recovered.step == step_before
 
 
+def test_paper_layout_tape_holds_at_most_145_mib():
+    # one paper-layout forward and both losses at 32x32, B = 2: the distinct
+    # buffers the recorded outputs hold, each base array counted once so a
+    # reshape view adds nothing. The bound catches an op that keeps an
+    # activation no backward reads.
+    from mxt.data import batch_at
+    from mxt.losses import discriminator_loss, generator_loss
+
+    state = init_train_state(ModelConfig(base_channels=16, hm_counts=(4, 6, 6, 8, 6, 6, 4)),
+                             TrainConfig(batch_size=2, image_size=32, seed=101))
+    batch = batch_at(synthetic_dataset(4, 32, 32, seed=101), 2, 101, 0)
+    gt = Tensor(batch.i_gt)
+    with Tape() as tape:
+        out = state.model(Tensor(batch.i_in))
+        discriminator_loss(state.disc, gt, out)
+        generator_loss(out, gt, batch.mask, state.weights, state.extractor, state.disc)
+        bases = {}
+        for node in tape.nodes:
+            arr = node.out.data
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            bases[id(arr)] = arr.nbytes
+    assert sum(bases.values()) / 2**20 <= 145
+
+
 def test_first_nonfinite_names_the_bad_term():
     from mxt.train import _first_nonfinite
     assert _first_nonfinite({"l1": 0.5, "total": 1.0}) is None
