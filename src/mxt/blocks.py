@@ -5,8 +5,9 @@ in raster (row-major) order. Each layer (Conv2d, DepthwiseConv2d,
 CausalConv1d, LayerNorm, ChannelLayerNorm, Linear) is one call to a fused
 tensor op with a hand-written backward, so it records one tape node that
 keeps only its inputs; the sub-blocks compose those layers with generic tape
-ops, the feed-forward's gate is the one-node ``gelu_gate`` and the attention
-weights are the one-node ``matmul_softmax``. Every MambaBlock reads its
+ops, the feed-forward's gate is the one-node ``gelu_gate``, the attention
+term is the one-node ``attention`` and every Linear applies its activation
+within its own node. Every MambaBlock reads its
 positional table from one shared cache, one constant table per (L, C, dtype).
 """
 
@@ -69,14 +70,18 @@ def _uniform(rng: np.random.Generator | None, shape, k: float, dtype) -> Tensor:
 
 
 class Linear(Module):
+    """x @ w + b, then the activation ``act`` (None, "silu" or "softplus")
+    in the same tape node."""
+
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, bias: bool = True,
-                 dtype=np.float32):
+                 act: str | None = None, dtype=np.float32):
         k = 1.0 / np.sqrt(cin)
         self.w = _uniform(rng, (cin, cout), k, dtype)
         self.b = _uniform(rng, (cout,), k, dtype) if bias else None
+        self._act = act
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.linear(x, self.w, self.b)
+        return T.linear(x, self.w, self.b, act=self._act)
 
 
 class LayerNorm(Module):
@@ -190,31 +195,22 @@ class Srsa(Module):
         self.local = DepthwiseConv2d(channels, rng, dtype=dtype)
         self._pooled = pooled_spatial
         self._heads = heads
-        self._scale = scale_qk
+        self._scale = 1.0 / np.sqrt(channels // heads) if scale_qk else None
 
-    def _attention(self, x: Tensor) -> tuple:
-        """(v, att_t, vp): the full-resolution values (B, C, H, W), the softmax
-        weights transposed to (B, heads, pooled^2, H*W) and the pooled values
-        (B, heads, dh, pooled^2). Channel d of head j is j*dh + d; keeping
-        H*W last means no full-resolution tensor is transposed."""
-        bsz, c, h, w = x.shape
-        hds, dh, s = self._heads, c // self._heads, self._pooled
-        qkv = self.qkv_dw(self.qkv(self.norm(x)))              # (B, 3C, H, W)
-        q, k, v = qkv[:, :c], qkv[:, c : 2 * c], qkv[:, 2 * c :]
-        kp = T.reshape(T.adaptive_avg_pool2d(k, (s, s)), (bsz, hds, dh, s * s))
-        vp = T.reshape(T.adaptive_avg_pool2d(v, (s, s)), (bsz, hds, dh, s * s))
-        att_t = T.matmul_softmax(T.transpose(kp, (0, 1, 3, 2)),
-                                 T.reshape(q, (bsz, hds, dh, h * w)),   # (B, heads, s*s, HW)
-                                 axis=-2, scale=1.0 / np.sqrt(dh) if self._scale else None)
-        return v, att_t, vp
+    def _qkv(self, x: Tensor) -> Tensor:
+        return self.qkv_dw(self.qkv(self.norm(x)))              # (B, 3C, H, W)
 
     def forward(self, x: Tensor) -> Tensor:
-        v, att_t, vp = self._attention(x)
-        return self.local(v) + T.reshape(T.matmul(vp, att_t), x.shape)
+        qkv = self._qkv(x)
+        # the local conv keeps its input, so only v is copied out of qkv
+        v = qkv[:, 2 * x.shape[1] :]
+        return self.local(v) + T.attention(qkv, self._heads, self._pooled, self._scale)
 
     def attention_map(self, x: Tensor) -> Tensor:
-        """The softmax weights, (B, heads, H*W, pooled^2); for inspection."""
-        return T.transpose(self._attention(x)[1], (0, 1, 3, 2))
+        """The softmax weights, (B, heads, H*W, pooled^2), as a constant; for
+        inspection."""
+        att = T._attention_parts(self._qkv(x).data, self._heads, self._pooled, self._scale)[3]
+        return Tensor(att.swapaxes(-1, -2))
 
 
 class MambaBlock(Module):
@@ -232,10 +228,10 @@ class MambaBlock(Module):
                  use_skip: bool = False, dtype=np.float32):
         inner = expand * channels
         self.norm = LayerNorm(channels, dtype=dtype)
-        self.inp = Linear(channels, inner, rng, dtype=dtype)
+        self.inp = Linear(channels, inner, rng, act="silu", dtype=dtype)
         self.conv = CausalConv1d(inner, rng, k=conv_kernel, dtype=dtype)
         self.ssm = init_ssm_params(inner, state_dim, rng, dtype=dtype, use_skip=use_skip)
-        self.gate = Linear(channels, inner, rng, dtype=dtype)
+        self.gate = Linear(channels, inner, rng, act="silu", dtype=dtype)
         self.out = Linear(inner, channels, rng, dtype=dtype)
         self._chunk = chunk_len
         self._use_pe = use_pe
@@ -248,13 +244,11 @@ class MambaBlock(Module):
         if self._use_pe:
             seq = seq + _positional_table(L, c, seq.dtype)
         seq = self.norm(seq)
-        body = T.silu(self.inp(seq))
-        body = self.conv(body)
+        body = self.conv(self.inp(seq))
         if self._silu_after_conv:
             body = T.silu(body)
         body = scan_chunked(body, self.ssm, chunk_len=self._chunk)
-        gate = T.silu(self.gate(seq))
-        y = self.out(gate * body)                                  # (B, L, C)
+        y = self.out(self.gate(seq) * body)                       # (B, L, C)
         return T.reshape(T.transpose(y, (0, 2, 1)), (bsz, c, h, w))
 
 

@@ -196,7 +196,8 @@ def _tile_weights(tile: int, overlap: int, at_start: bool, at_end: bool, dtype) 
 def tiled_inference(model: MxT, i_in: np.ndarray, tile: int = 0, overlap: int = 16) -> np.ndarray:
     """Run the model over (4, H, W), optionally tile by tile.
 
-    tile = 0 (or >= the whole image) runs one full pass. Otherwise square
+    tile = 0 (or >= the whole image) runs one full pass; a negative tile or
+    overlap raises ContractError, tiled or not. Otherwise square
     tiles of the given side cover the image with the given overlap; outputs
     are feather-blended with linear ramps and renormalized. overlap = 0
     degenerates to disjoint tiles copied verbatim, bit-equal to running each
@@ -217,11 +218,13 @@ def tiled_inference(model: MxT, i_in: np.ndarray, tile: int = 0, overlap: int = 
         with T.no_grad():
             return model(Tensor(batch, dtype=dt)).data
 
-    if tile <= 0 or (tile >= h and tile >= w):
+    if tile < 0 or overlap < 0:
+        raise ContractError(f"tile {tile} and overlap {overlap} must be >= 0")
+    if tile == 0 or (tile >= h and tile >= w):
         return run(i_in[None])[0]
     if tile % div:
         raise ContractError(f"tile side {tile} must be divisible by {div}")
-    if overlap < 0 or overlap >= tile:
+    if overlap >= tile:
         raise ContractError(f"overlap {overlap} must be in [0, tile)")
     if tile > h or tile > w:
         raise ContractError(f"tile {tile} exceeds image {h}x{w}")

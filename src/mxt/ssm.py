@@ -390,7 +390,7 @@ def selective_discrete(x: Tensor, params: SsmParams):
         raise DimensionError(f"selective scan expects (B, L, E), got {x.shape}")
     if x.shape[2] != params.channels:
         raise DimensionError(f"x has {x.shape[2]} channels, params expect {params.channels}")
-    delta = T.softplus(T.linear(x, params.dt_w, params.dt_b))
+    delta = T.linear(x, params.dt_w, params.dt_b, act="softplus")
     return delta, T.matmul(x, params.b_w), T.matmul(x, params.c_w)
 
 

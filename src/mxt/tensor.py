@@ -19,9 +19,12 @@ root recorded on another tape than the innermost open one raises
 Besides the elementwise, reduction and shape ops, each layer is one fused
 op with a hand-written backward that keeps only its inputs: ``conv2d``,
 ``depthwise_conv2d``, ``causal_conv1d``, ``layer_norm``, ``linear`` (a
-matmul plus bias) and ``gelu_gate``, the gelu-gated product of a tensor's
-two channel halves. ``matmul_softmax`` keeps its two operands and its
-output, not the scores between them.
+matmul plus bias, optionally followed by silu or softplus) and
+``gelu_gate``, the gelu-gated product of a tensor's two channel halves.
+``attention`` takes spatial-reduced attention from its qkv input to its
+output in one node. Whatever backward can cheaply rebuild from the inputs
+(a pre-activation, a normalized input, pooled keys and values, softmax
+weights) it recomputes rather than keeps.
 
 Two float widths exist: float32 (standard) and float64 (wide). float32 is
 the fixed default: layers are float64 only when built with
@@ -419,15 +422,33 @@ def _sigmoid_arr(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
+def _silu(z: np.ndarray) -> np.ndarray:
+    return z * _sigmoid_arr(z)
+
+
+def _dsilu(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    s = _sigmoid_arr(z)
+    return g * (s + z * s * (1.0 - s))
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    # max(z, 0) + log1p(exp(-|z|)): stable on both tails and ~8x faster
+    # than np.logaddexp(0, z) on float32
+    return np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _dsoftplus(g: np.ndarray, z: np.ndarray) -> np.ndarray:
+    return g * _sigmoid_arr(z)
+
+
+# name -> (activation, its vector-Jacobian product from the pre-activation);
+# the unary ops and ``linear(act=...)`` share them, so both compute the same
+# values and gradients
+_ACTIVATIONS = {"silu": (_silu, _dsilu), "softplus": (_softplus, _dsoftplus)}
+
+
 def silu(x: Tensor) -> Tensor:
-    def fwd(xd):
-        return xd * _sigmoid_arr(xd)
-
-    def dfd(g, xd, y):
-        s = _sigmoid_arr(xd)
-        return g * (s + xd * s * (1.0 - s))
-
-    return _unary(x, fwd, dfd)
+    return _unary(x, _silu, lambda g, xd, y: _dsilu(g, xd))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -493,20 +514,14 @@ def gelu_gate(y: Tensor) -> Tensor:
 
 
 def softplus(x: Tensor) -> Tensor:
-    # max(x, 0) + log1p(exp(-|x|)): stable on both tails and ~8x faster
-    # than np.logaddexp(0, x) on float32
-    return _unary(
-        x,
-        lambda xd: np.maximum(xd, 0) + np.log1p(np.exp(-np.abs(xd))),
-        lambda g, xd, y: g * _sigmoid_arr(xd),
-    )
+    return _unary(x, _softplus, lambda g, xd, y: _dsoftplus(g, xd))
 
 
 # ---- matmul ------------------------------------------------------------------
 
 
-def _matmul_data(a: Tensor, b: Tensor, op: str) -> np.ndarray:
-    """a.data @ b.data after the shape and width checks every matmul op shares."""
+def _check_matmul(a: Tensor, b: Tensor, op: str) -> None:
+    """The shape and width checks every matmul op shares."""
     if not isinstance(a, Tensor) or not isinstance(b, Tensor):
         raise ContractError(f"{op} expects tensors on both sides")
     _check_same_dtype(a, b, op)
@@ -515,7 +530,7 @@ def _matmul_data(a: Tensor, b: Tensor, op: str) -> np.ndarray:
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"{op} inner dims differ: {a.shape} @ {b.shape}")
     try:
-        return np.matmul(a.data, b.data)
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
     except ValueError as e:
         raise DimensionError(f"{op} batch dims do not broadcast: {a.shape} @ {b.shape}") from e
 
@@ -532,7 +547,8 @@ def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor, ad: np.ndarray, bd: np.nd
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product; leading dims broadcast, last two contract."""
-    out = _matmul_data(a, b, "matmul")
+    _check_matmul(a, b, "matmul")
+    out = np.matmul(a.data, b.data)
 
     def bwd(g, ad=a.data, bd=b.data):
         return _matmul_grads(g, a, b, ad, bd)
@@ -540,52 +556,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
-    """x @ w + b, with ``b`` (w.shape[-1],) or None: one node that keeps only
-    x and w. The bias is added in place to the product, in the arithmetic of
-    ``add(matmul(x, w), b)``, so the pre-bias product is never kept."""
-    out = _matmul_data(x, w, "linear")
+def _affine(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None) -> np.ndarray:
+    """xd @ wd + bd, the bias added in place, in the arithmetic of
+    ``add(matmul(x, w), b)``."""
+    out = np.matmul(xd, wd)
+    if bd is not None:
+        out += bd
+    return out
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None, act: str | None = None) -> Tensor:
+    """act(x @ w + b), with ``b`` (w.shape[-1],) or None and ``act`` None,
+    "silu" or "softplus": one node that keeps only x and w.
+
+    The bias is added in place to the product, and the activation runs on
+    that, so values equal ``silu(add(matmul(x, w), b))`` and the like.
+    Backward recomputes the pre-activation with the same matmul and add, so
+    the gradients equal that chain's too, and no pre-activation is kept.
+    """
+    if act is not None and act not in _ACTIVATIONS:
+        raise ContractError(f"linear: act must be one of {sorted(_ACTIVATIONS)}, got {act!r}")
+    _check_matmul(x, w, "linear")
     inputs = _layer_inputs("linear", x, w, b)
-    if b is not None:
-        if b.shape != (w.shape[-1],):
-            raise DimensionError(f"linear: bias {b.shape} does not fit weight {w.shape}")
-        out += b.data
+    if b is not None and b.shape != (w.shape[-1],):
+        raise DimensionError(f"linear: bias {b.shape} does not fit weight {w.shape}")
+    bd = None if b is None else b.data
+    out = _affine(x.data, w.data, bd)
+    if act is not None:
+        out = _ACTIVATIONS[act][0](out)
 
     def bwd(g, xd=x.data, wd=w.data):
+        if act is not None:
+            g = _ACTIVATIONS[act][1](g, _affine(xd, wd, bd))
         gx, gw = _matmul_grads(g, x, w, xd, wd)
         if b is None:
             return gx, gw
         return gx, gw, (_unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out, inputs, bwd)
-
-
-def matmul_softmax(a: Tensor, b: Tensor, axis: int = -1, scale: float | None = None) -> Tensor:
-    """softmax(scale * (a @ b)) along ``axis``, numerically stable; rejects
-    NaN scores. ``scale`` None skips the product.
-
-    One node that keeps a, b and its output, not the scores between them:
-    the softmax backward needs only the output. The forward runs in place on
-    the product, in the arithmetic of ``matmul``, ``mul`` and the max-shifted
-    softmax, so values and gradients equal that chain's.
-    """
-    s = _matmul_data(a, b, "matmul_softmax")
-    if scale is not None:
-        scale = np.asarray(scale, dtype=s.dtype)
-        s *= scale
-    if np.isnan(s).any():
-        raise NumericError("matmul_softmax: NaN in scores")
-    s -= s.max(axis=axis, keepdims=True)
-    out = np.exp(s, out=s)
-    out /= out.sum(axis=axis, keepdims=True)
-
-    def bwd(g, ad=a.data, bd=b.data):
-        gs = out * (g - (g * out).sum(axis=axis, keepdims=True))
-        if scale is not None:
-            gs *= scale
-        return _matmul_grads(gs, a, b, ad, bd)
-
-    return _make(out, (a, b), bwd)
 
 
 # ---- reductions ---------------------------------------------------------------
@@ -853,14 +861,29 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, stride: int = 1,
 _BLOCK_BYTES = 1 << 18  # depthwise planes go in blocks of about this many bytes
 
 
-def _planes(a: np.ndarray, pad: int) -> np.ndarray:
-    """(B, C, H, W) -> (B*C, (H + 2*pad + 1) * (W + 2*pad)): every plane
-    zero-padded by pad (cropped if pad < 0), plus one spare zero row, flat."""
+def _block_planes(a: np.ndarray, n: int) -> int:
+    """How many planes of a (B, C, H, W) go in one block: as many n-element
+    rows as fit in about ``_BLOCK_BYTES``, at least one, at most B*C."""
+    return min(a.shape[0] * a.shape[1], max(1, _BLOCK_BYTES // (n * a.itemsize)))
+
+
+def _padded_blocks(a: np.ndarray, pad: int, step: int):
+    """Yield (r, planes) over the planes of a (B, C, H, W), ``step`` at a
+    time: ``planes`` holds planes r, r+1, ... of the flattened B*C, each
+    zero-padded by pad (cropped if pad < 0) plus one spare zero row, flat,
+    as (rows, (H + 2*pad + 1) * (W + 2*pad)). Every block reuses one
+    scratch buffer, valid until the next block is yielded.
+    """
     bsz, c, h, w = a.shape
+    rows = bsz * c
+    src = a.reshape(rows, h, w)
     lo, at = max(0, -pad), max(0, pad)
-    flat = np.zeros((bsz, c, h + 2 * pad + 1, w + 2 * pad), dtype=a.dtype)
-    flat[:, :, at : at + h - 2 * lo, at : at + w - 2 * lo] = a[:, :, lo : h - lo, lo : w - lo]
-    return flat.reshape(bsz * c, -1)
+    # the interior is rewritten for every block and the border stays zero
+    buf = np.zeros((step, h + 2 * pad + 1, w + 2 * pad), dtype=a.dtype)
+    for r in range(0, rows, step):
+        blk = buf[: min(step, rows - r)]
+        blk[:, at : at + h - 2 * lo, at : at + w - 2 * lo] = src[r : r + step, lo : h - lo, lo : w - lo]
+        yield r, blk.reshape(len(blk), -1)
 
 
 def _tap_offsets(k: int, wp: int) -> list:
@@ -872,28 +895,30 @@ def _depthwise(xd: np.ndarray, taps: np.ndarray, bias, k: int, pad: int) -> np.n
     """Depthwise k x k correlation of (B, C, H, W) with (k*k, C) taps.
 
     On the flat padded planes of width wp, tap (dy, dx) is one contiguous run
-    at offset dy*wp + dx. The taps accumulate in place on the (oh, wp) grid,
-    whose last k-1 columns wrap around and are cropped; planes go in
-    cache-sized blocks, and no k*k-fold copy of x is built.
+    at offset dy*wp + dx. The taps accumulate in place on an (oh, wp) grid,
+    whose last k-1 columns wrap around and are cropped as each block of
+    planes is written out; planes go in cache-sized blocks, so neither a
+    padded copy of x nor a k*k-fold one is built.
     """
     bsz, c, h, w = xd.shape
     wp = w + 2 * pad
     oh, ow = h + 2 * pad - k + 1, wp - k + 1
-    rows, n = bsz * c, oh * wp
-    xf = _planes(xd, pad)
+    n = oh * wp
+    step = _block_planes(xd, n)
     wrow = np.tile(taps, bsz)[..., None]             # (k*k, B*C, 1)
-    out = np.empty((rows, n), dtype=xd.dtype)
-    out[:] = 0 if bias is None else np.tile(bias, bsz)[:, None]
-    step = max(1, _BLOCK_BYTES // (n * xd.itemsize))
-    scratch = np.empty((min(step, rows), n), dtype=xd.dtype)
-    for r in range(0, rows, step):
-        blk = slice(r, r + step)
-        acc = out[blk]
-        part = scratch[: acc.shape[0]]
+    brow = None if bias is None else np.tile(bias, bsz)[:, None]
+    out = np.empty((bsz * c, oh, ow), dtype=xd.dtype)
+    acc, part = (np.empty((step, n), dtype=xd.dtype) for _ in range(2))
+    for r, xf in _padded_blocks(xd, pad, step):
+        m = len(xf)
+        blk = slice(r, r + m)
+        a, p = acc[:m], part[:m]
+        a[:] = 0 if brow is None else brow[blk]
         for t, off in enumerate(_tap_offsets(k, wp)):
-            np.multiply(xf[blk, off : off + n], wrow[t, blk], out=part)
-            acc += part
-    return out.reshape(bsz, c, oh, wp)[..., :ow]
+            np.multiply(xf[:, off : off + n], wrow[t, blk], out=p)
+            a += p
+        out[blk] = a.reshape(m, oh, wp)[..., :ow]
+    return out.reshape(bsz, c, oh, ow)
 
 
 def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, pad: int) -> Tensor:
@@ -921,13 +946,19 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, pad: int) -
         gx = _depthwise(g, wdat[::-1], None, k, k - 1 - pad) if x.requires_grad else None
         gw = None
         if w.requires_grad:
-            xf = _planes(xd, pad)
-            gwide = np.zeros((bsz, c, oh, wp), dtype=xd.dtype)
-            gwide[..., :ow] = g                      # zero in the wrap-around columns
+            # per tap, a row-wise dot of g, zero in the wrap-around columns,
+            # with the shifted input, one block of planes at a time
             n = oh * wp
-            gwide = gwide.reshape(bsz * c, n)
-            gw = np.stack([np.einsum("rn,rn->r", gwide, xf[:, off : off + n])
-                           for off in _tap_offsets(k, wp)])
+            step = _block_planes(xd, n)
+            grows = g.reshape(bsz * c, oh, ow)
+            gw = np.empty((k * k, bsz * c), dtype=xd.dtype)
+            gwide = np.zeros((step, oh, wp), dtype=xd.dtype)
+            for r, xf in _padded_blocks(xd, pad, step):
+                m = len(xf)
+                gwide[:m, :, :ow] = grows[r : r + m]
+                gflat = gwide[:m].reshape(m, n)
+                for t, off in enumerate(_tap_offsets(k, wp)):
+                    np.einsum("rn,rn->r", gflat, xf[:, off : off + n], out=gw[t, r : r + m])
             gw = gw.reshape(k * k, bsz, c).sum(axis=1)
         if b is None:
             return gx, gw
@@ -1009,3 +1040,76 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
         return gx, ggamma, gbeta
 
     return _make(out, (x, gamma, beta), bwd)
+
+
+def _attention_parts(qd: np.ndarray, heads: int, pooled: int, scale) -> tuple:
+    """(q, kp_t, vp, att) of spatial-reduced attention over ``qd``, a
+    (B, 3C, H, W) array holding q, k and v as its channel thirds.
+
+    Channel d of head j is j*dh + d. q is the (B, heads, dh, H*W) view of
+    the first third. k and v are pooled together onto the pooled^2 grid:
+    kp_t is (B, heads, pooled^2, dh) and vp (B, heads, dh, pooled^2). The
+    weights att = softmax(scale * (kp_t @ q)), max-shifted over the pooled
+    tokens (axis -2), are (B, heads, pooled^2, H*W): H*W stays last, so
+    nothing full-resolution is copied. Raises NumericError on a NaN score.
+    """
+    bsz, c3, h, w = qd.shape
+    c = c3 // 3
+    dh, n = c // heads, pooled * pooled
+    ph, pw = _pool_matrix(h, pooled, qd.dtype), _pool_matrix(w, pooled, qd.dtype)
+    kvp = (ph @ qd[:, c:] @ pw.T).reshape(bsz, 2, heads, dh, n)
+    kp_t = np.ascontiguousarray(kvp[:, 0].swapaxes(-1, -2))
+    q = qd[:, :c].reshape(bsz, heads, dh, h * w)
+    att = np.matmul(kp_t, q)
+    if scale is not None:
+        att *= att.dtype.type(scale)
+    if np.isnan(att).any():
+        raise NumericError("attention: NaN in scores")
+    att -= att.max(axis=-2, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-2, keepdims=True)
+    return q, kp_t, kvp[:, 1], att
+
+
+def attention(qkv: Tensor, heads: int, pooled: int, scale: float | None = None) -> Tensor:
+    """Spatial-reduced attention of the q, k, v channel thirds of ``qkv``
+    (B, 3C, H, W): vp @ softmax(scale * (kp^T @ q)) over the pooled tokens,
+    with k and v adaptively average-pooled to a pooled x pooled grid and
+    scale None skipping the product; returns (B, C, H, W).
+
+    One node that keeps only ``qkv``: q, k and v are read as views, and
+    backward recomputes the pools and the softmax weights. The forward is
+    the arithmetic of slicing, ``adaptive_avg_pool2d``, ``matmul``, ``mul``
+    and the max-shifted softmax, so values equal that chain's. Raises
+    NumericError on a NaN score.
+    """
+    if qkv.ndim != 4 or qkv.shape[1] % 3 or (qkv.shape[1] // 3) % heads:
+        raise DimensionError(f"attention needs (B, 3C, H, W) with C divisible by "
+                             f"{heads} heads, got {qkv.shape}")
+    if pooled < 1:
+        raise ContractError(f"attention: pooled must be >= 1, got {pooled}")
+    bsz, c3, h, w = qkv.shape
+    c, dh = c3 // 3, c3 // 3 // heads
+    _, _, vp, att = _attention_parts(qkv.data, heads, pooled, scale)
+    out = np.matmul(vp, att).reshape(bsz, c, h, w)
+
+    def bwd(g, qd=qkv.data):
+        g = np.asarray(g).reshape(bsz, heads, dh, h * w)
+        q, kp_t, vp, att = _attention_parts(qd, heads, pooled, scale)
+        gkvp = np.empty((bsz, 2, heads, dh, pooled * pooled), dtype=qd.dtype)
+        np.matmul(g, att.swapaxes(-1, -2), out=gkvp[:, 1])
+        # through the softmax: att * (g_att - sum(g_att * att)), then the scale
+        gs = np.matmul(vp.swapaxes(-1, -2), g)
+        gs -= (gs * att).sum(axis=-2, keepdims=True)
+        gs *= att
+        if scale is not None:
+            gs *= gs.dtype.type(scale)
+        gkvp[:, 0] = np.matmul(gs, q.swapaxes(-1, -2)).swapaxes(-1, -2)
+        gqkv = np.empty((bsz, 3, heads, dh, h * w), dtype=qd.dtype)
+        np.matmul(kp_t.swapaxes(-1, -2), gs, out=gqkv[:, 0])
+        gqkv = gqkv.reshape(bsz, c3, h, w)
+        ph, pw = _pool_matrix(h, pooled, qd.dtype), _pool_matrix(w, pooled, qd.dtype)
+        gqkv[:, c:] = ph.T @ gkvp.reshape(bsz, 2 * c, pooled, pooled) @ pw
+        return (gqkv,)
+
+    return _make(out, (qkv,), bwd)

@@ -134,6 +134,28 @@ def test_depthwise_plane_blocks_do_not_change_values(monkeypatch):
     np.testing.assert_allclose(whole[0], depthwise_oracle(x, w, b, 3, 1), rtol=1e-10, atol=1e-12)
 
 
+@pytest.mark.parametrize("pad", [0, 1, 2])
+@pytest.mark.parametrize("bias", [True, False])
+def test_depthwise_streamed_blocks_bit_equal_to_shifted_sum(monkeypatch, pad, bias):
+    # blocks of 3 of the 2*5 planes, each padded into one reused scratch
+    # and cropped straight into a contiguous output, equal the taps summed
+    # over the whole padded input in the same order
+    r = rng(47)
+    x = r.standard_normal((2, 5, 6, 7)).astype(np.float32)
+    w = r.standard_normal((9, 5)).astype(np.float32)
+    b = r.standard_normal(5).astype(np.float32) if bias else None
+    oh, ow = 6 + 2 * pad - 2, 7 + 2 * pad - 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ref = np.zeros((2, 5, oh, ow), np.float32) if b is None else np.broadcast_to(
+        b[:, None, None], (2, 5, oh, ow)).copy()
+    for t in range(9):
+        ref += xp[:, :, t // 3 : t // 3 + oh, t % 3 : t % 3 + ow] * w[t][:, None, None]
+    monkeypatch.setattr(T, "_BLOCK_BYTES", 3 * oh * (7 + 2 * pad) * 4)
+    got = T.depthwise_conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), 3, pad).data
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, ref)
+
+
 def test_causal_conv1d_is_causal_and_correct():
     conv = B.CausalConv1d(3, rng(7), k=4, dtype=np.float64)
     x = rng(8).standard_normal((1, 10, 3))
@@ -222,6 +244,26 @@ def test_srsa_forward_is_local_plus_attention_map_times_pooled_values():
     ctx = att @ vp.transpose(0, 1, 3, 2)                       # (B, heads, HW, dh)
     np.testing.assert_allclose(y, local + ctx.transpose(0, 1, 3, 2).reshape(2, 8, 6, 6),
                                rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("heads,scale_qk", [(1, False), (2, True)])
+def test_srsa_attention_map_equals_pooled_softmax_chain(heads, scale_qk):
+    # the weights as the unfused ops compute them: pool k, scale the scores
+    # k_p^T q, max-shifted softmax over the pooled tokens
+    srsa = B.Srsa(8, rng(48), pooled_spatial=2, heads=heads, scale_qk=scale_qk)
+    x = Tensor(rng(49).standard_normal((2, 8, 6, 7)).astype(np.float32))
+    qkv = srsa.qkv_dw(srsa.qkv(srsa.norm(x)))
+    dh = 8 // heads
+    q = T.reshape(qkv[:, :8], (2, heads, dh, 42))
+    kp = T.reshape(T.adaptive_avg_pool2d(qkv[:, 8:16], (2, 2)), (2, heads, dh, 4))
+    s = T.matmul(T.transpose(kp, (0, 1, 3, 2)), q).data
+    if scale_qk:
+        s = s * np.float32(1.0 / np.sqrt(dh))
+    e = np.exp(s - s.max(axis=-2, keepdims=True))
+    ref = (e / e.sum(axis=-2, keepdims=True)).transpose(0, 1, 3, 2)
+    att = srsa.attention_map(x)
+    assert att.shape == (2, heads, 42, 4) and att.dtype == np.float32
+    assert np.array_equal(att.data, ref)
 
 
 def test_srsa_gradients():
@@ -372,11 +414,13 @@ def test_sub_block_tape_budget():
     # each; context broadcast adds a mean and an add
     assert _recorded_nodes(B.Gdfn(8, rng(43)), (1, 8, 8, 8)) == 5
     assert _recorded_nodes(B.Gdfn(8, rng(43), context_broadcast=True), (1, 8, 8, 8)) == 7
-    # attention weights are one matmul_softmax node with or without the
-    # scale; every Linear and the scan's dt projection are one linear node
-    assert _recorded_nodes(B.Srsa(8, rng(44)), (1, 8, 8, 8)) == 17
-    assert _recorded_nodes(B.Srsa(8, rng(44), scale_qk=True), (1, 8, 8, 8)) == 17
-    assert _recorded_nodes(B.MambaBlock(8, rng(44)), (1, 8, 4, 4)) == 20
+    # Srsa: norm, qkv, qkv_dw, the v slice, local, attention and the sum;
+    # the attention term is one node with or without the scale
+    assert _recorded_nodes(B.Srsa(8, rng(44)), (1, 8, 8, 8)) == 7
+    assert _recorded_nodes(B.Srsa(8, rng(44), scale_qk=True), (1, 8, 8, 8)) == 7
+    # every Linear and the scan's dt projection are one linear node, their
+    # silu or softplus included
+    assert _recorded_nodes(B.MambaBlock(8, rng(44)), (1, 8, 4, 4)) == 17
 
 
 # ---- module traversal ------------------------------------------------------------------

@@ -255,6 +255,26 @@ def test_eval_rejects_sizes_below_one(tiny_ckpt, capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,args", [
+    ("infer", ["--tile", "-8"]),
+    ("infer", ["--tile", "0", "--overlap", "-3"]),
+    ("eval", ["--tile", "-8"]),
+    ("eval", ["--tile", "64", "--overlap", "-1"]),
+])
+def test_negative_tile_or_overlap_exits_2(tiny_ckpt, tmp_path, capsys, cmd, args):
+    if cmd == "infer":
+        write_ppm(str(tmp_path / "in.ppm"), np.zeros((3, 16, 16)))
+        write_pgm(str(tmp_path / "holes.pgm"), np.zeros((1, 16, 16)))
+        io = ["--image", str(tmp_path / "in.ppm"), "--mask", str(tmp_path / "holes.pgm"),
+              "--out", str(tmp_path / "filled.ppm")]
+    else:
+        io = ["--synthetic", "1", "--image-size", "16"]
+    rc = main([cmd, "--model", tiny_ckpt, *io, *args])
+    assert rc == 2
+    assert "must be >= 0" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "filled.ppm")
+
+
 def test_gradcheck_subset_passes(capsys):
     rc = main(["gradcheck", "--blocks", "layer_norm,loss_l1"])
     assert rc == 0

@@ -206,6 +206,16 @@ def test_tiled_validates_tile_and_overlap():
         tiled_inference(m, x, tile=16, overlap=-1)
 
 
+@pytest.mark.parametrize("tile,overlap", [(-8, 0), (-64, 16), (0, -3), (64, -1)])
+def test_tiled_rejects_negative_tile_or_overlap_even_untiled(tile, overlap):
+    # tile 0 and tile >= the image take the whole-image pass, which must not
+    # swallow a negative value
+    m = tiny_model()
+    x = np.zeros((4, 32, 32), dtype=np.float32)
+    with pytest.raises(ContractError, match="must be >= 0"):
+        tiled_inference(m, x, tile=tile, overlap=overlap)
+
+
 def test_batched_forward_equals_single_sample_forwards():
     # scan_chunk 24 leaves a ragged last chunk at every level of a 16x16 input
     # (L = 256, 64, 16, 4)

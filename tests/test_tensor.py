@@ -130,9 +130,11 @@ def test_matmul_rank_and_inner_dim_errors():
     with pytest.raises(DimensionError):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
     with pytest.raises(DimensionError):
-        T.matmul_softmax(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), None)
     with pytest.raises(DimensionError):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(ContractError):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), None, act="relu")
 
 
 # ---- reductions ----------------------------------------------------------------
@@ -159,45 +161,70 @@ def test_sum_multi_axis_matches_numpy():
     )
 
 
-# ---- matmul_softmax ----------------------------------------------------------------
+# ---- attention ---------------------------------------------------------------------
 
 
-def _softmax(x, axis=-1):
-    # x @ I is x exactly, so this is the softmax of x
-    return T.matmul_softmax(x, Tensor(np.eye(x.shape[-1]), dtype=x.dtype), axis=axis)
+def _softmax(x):
+    """softmax(x) along the last axis of x (B, n, n), n = s*s, through
+    ``attention``: x^T is q at identity pooling (an s x s image on an s x s
+    grid), and one-hot k and v planes make the scores q and the output the
+    weights themselves."""
+    bsz, n, _ = x.shape
+    s = int(round(np.sqrt(n)))
+    eye = np.broadcast_to(np.eye(n).reshape(1, n, s, s), (bsz, n, s, s))
+    one_hot = Tensor(np.concatenate([eye, eye], axis=1), dtype=x.dtype)
+    q = T.reshape(T.transpose(x, (0, 2, 1)), (bsz, n, s, s))
+    out = T.attention(T.concat([q, one_hot], axis=1), 1, s)
+    return T.transpose(T.reshape(out, (bsz, n, n)), (0, 2, 1))
 
 
 def test_softmax_known_values():
-    out = _softmax(Tensor(np.array([[1.0, 2.0, 3.0]]), dtype=np.float64))
-    np.testing.assert_allclose(out.data[0], [0.09003057, 0.24472847, 0.66524096], atol=1e-8)
+    x = np.tile(np.array([1.0, 2.0, 3.0, 4.0]), (1, 4, 1))
+    out = _softmax(Tensor(x, dtype=np.float64))
+    np.testing.assert_allclose(out.data[0, 0], [0.0320586, 0.08714432, 0.23688282, 0.64391426],
+                               atol=1e-8)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant():
-    x = rng(17).standard_normal((5, 7)) * 50  # large values: needs max subtraction
-    out = _softmax(Tensor(x, dtype=np.float64), axis=-1)
-    np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(5), atol=1e-12)
-    shifted = _softmax(Tensor(x + 123.0, dtype=np.float64), axis=-1)
+    x = rng(17).standard_normal((2, 9, 9)) * 50  # large values: needs max subtraction
+    out = _softmax(Tensor(x, dtype=np.float64))
+    np.testing.assert_allclose(out.data.sum(axis=-1), np.ones((2, 9)), atol=1e-12)
+    shifted = _softmax(Tensor(x + 123.0, dtype=np.float64))
     np.testing.assert_allclose(out.data, shifted.data, atol=1e-12)
 
 
 def test_softmax_gradient():
-    x = rng(18).standard_normal((3, 4))
-    w = Tensor(rng(19).standard_normal((3, 4)), dtype=np.float64)
-    check(lambda t: T.sum_(_softmax(t, axis=-1) * w), x)
-    # both operands, scaled, along a non-last axis, with broadcast batch dims
-    a, b = rng(20).standard_normal((2, 1, 3, 4)), rng(21).standard_normal((3, 4, 5))
-    w = Tensor(rng(22).standard_normal((2, 3, 3, 5)), dtype=np.float64)
-    check(lambda s, t: T.sum_(T.matmul_softmax(s, t, axis=-2, scale=0.7) * w), a, b)
+    x = rng(18).standard_normal((2, 4, 4))
+    w = Tensor(rng(19).standard_normal((2, 4, 4)), dtype=np.float64)
+    check(lambda t: T.sum_(_softmax(t) * w), x)
 
 
 def test_softmax_nan_raises_numeric_error():
-    bad = np.array([[1.0, np.nan, 2.0]])
+    bad = np.zeros((1, 4, 4))
+    bad[0, 1, 2] = np.nan
     with pytest.raises(NumericError):
         _softmax(Tensor(bad, dtype=np.float64))
 
 
+@pytest.mark.parametrize("heads,pooled,scale", [(1, 2, None), (2, 2, 0.7), (2, 3, None)])
+def test_attention_gradients(heads, pooled, scale):
+    # 6 x 7 pools onto 2 x 2 with overlapping column windows and onto 3 x 3
+    # with uneven ones
+    qkv = rng(53).standard_normal((2, 12, 6, 7))
+    _fd_check_fused(lambda t: T.attention(t, heads, pooled, scale), [qkv], (2, 4, 6, 7), 54)
+
+
+def test_attention_rejects_bad_shapes():
+    with pytest.raises(DimensionError):
+        T.attention(Tensor(np.zeros((1, 8, 4, 4))), 1, 2)    # not three equal thirds
+    with pytest.raises(DimensionError):
+        T.attention(Tensor(np.zeros((1, 9, 4, 4))), 2, 2)    # 3 channels over 2 heads
+    with pytest.raises(ContractError):
+        T.attention(Tensor(np.zeros((1, 6, 4, 4))), 1, 0)
+
+
 def _softmax_node(x, axis):
-    """The separate softmax node matmul_softmax fuses away; it keeps its input."""
+    """A separate softmax node, as ``attention`` replaces it; it keeps its input."""
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
 
@@ -224,23 +251,44 @@ def _float32_leaves(seed, *shapes):
             for s in shapes]
 
 
-@pytest.mark.parametrize("a_shape,b_shape,scale", [
-    ((2, 3, 4), (2, 4, 6), None),
-    ((2, 3, 4), (2, 4, 6), 1.0 / np.sqrt(4)),
-    ((2, 2, 5, 3), (2, 2, 3, 7), None),
-    ((2, 2, 5, 3), (2, 2, 3, 7), 1.0 / np.sqrt(3)),
-])
-def test_matmul_softmax_float32_bit_equal_to_unfused_chain(a_shape, b_shape, scale):
-    a, b = _float32_leaves(47, a_shape, b_shape)
-    out_shape = a_shape[:-1] + b_shape[-1:]
+def _attention_chain(qkv, heads, pooled, scale):
+    """The unfused ops ``attention`` replaces: slices, pools, the scaled
+    scores, the softmax node and the mix with the pooled values."""
+    bsz, c3, h, w = qkv.shape
+    c = c3 // 3
+    dh, n = c // heads, pooled * pooled
+    q, k, v = qkv[:, :c], qkv[:, c : 2 * c], qkv[:, 2 * c :]
+    kp = T.reshape(T.adaptive_avg_pool2d(k, (pooled, pooled)), (bsz, heads, dh, n))
+    vp = T.reshape(T.adaptive_avg_pool2d(v, (pooled, pooled)), (bsz, heads, dh, n))
+    s = T.matmul(T.transpose(kp, (0, 1, 3, 2)), T.reshape(q, (bsz, heads, dh, h * w)))
+    att = _softmax_node(s if scale is None else s * scale, -2)
+    return T.reshape(T.matmul(vp, att), (bsz, c, h, w))
 
-    def chain(a, b):
-        s = T.matmul(a, b)
-        return _softmax_node(s if scale is None else s * scale, -2)
 
-    fused = _float32_run(lambda a, b: T.matmul_softmax(a, b, axis=-2, scale=scale),
-                         (a, b), out_shape, 48)
-    ref = _float32_run(chain, (a, b), out_shape, 48)
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("scaled", [False, True])
+def test_attention_float32_bit_equal_to_unfused_chain(heads, scaled):
+    (qkv,) = _float32_leaves(47, (2, 24, 6, 7))
+    scale = 1.0 / np.sqrt(8 // heads) if scaled else None
+    fused = _float32_run(lambda t: T.attention(t, heads, 2, scale), (qkv,), (2, 8, 6, 7), 48)
+    ref = _float32_run(lambda t: _attention_chain(t, heads, 2, scale), (qkv,), (2, 8, 6, 7), 48)
+    assert fused[0].dtype == np.float32
+    for got, want in zip(fused, ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("act", ["silu", "softplus"])
+@pytest.mark.parametrize("x_shape", [(2, 5, 4), (2, 3, 5, 4)])
+@pytest.mark.parametrize("bias", [True, False])
+def test_linear_act_float32_bit_equal_to_unfused_chain(act, x_shape, bias):
+    x, w, b = _float32_leaves(51, x_shape, (4, 6), (6,))
+    inputs = (x, w, b) if bias else (x, w)
+    out_shape = x_shape[:-1] + (6,)
+    unary = getattr(T, act)
+    fused = _float32_run(lambda x, w, *b: T.linear(x, w, b[0] if b else None, act=act),
+                         inputs, out_shape, 52)
+    ref = _float32_run(lambda x, w, *b: unary(T.matmul(x, w) + b[0] if b else T.matmul(x, w)),
+                       inputs, out_shape, 52)
     assert fused[0].dtype == np.float32
     for got, want in zip(fused, ref):
         assert np.array_equal(got, want)
@@ -752,7 +800,9 @@ def test_fused_ops_record_one_node_and_keep_float32():
         (T.layer_norm, (x4, leaf(3), leaf(3)), (1,)),
         (T.gelu_gate, (x3,), ()),
         (T.linear, (x3, leaf(3, 4), leaf(4)), ()),
-        (T.matmul_softmax, (x3, leaf(3, 5)), (-2, 0.5)),
+        (T.linear, (x3, leaf(3, 4), leaf(4)), ("silu",)),
+        (T.linear, (x3, leaf(3, 4)), (None, "softplus")),
+        (T.attention, (x4,), (1, 2, 0.5)),
     ]
     for op, inputs, args in cases:
         with Tape() as tape:

@@ -187,11 +187,12 @@ def test_numeric_abort_leaves_state_untouched(tmp_path):
     assert recovered.step == step_before
 
 
-def test_paper_layout_tape_holds_at_most_145_mib():
+def test_paper_layout_tape_holds_at_most_118_mib():
     # one paper-layout forward and both losses at 32x32, B = 2: the distinct
     # buffers the recorded outputs hold, each base array counted once so a
     # reshape view adds nothing. The bound catches an op that keeps an
-    # activation no backward reads.
+    # activation no backward reads, or one backward can cheaply recompute
+    # (111.6 MiB with the pre-activations and attention weights recomputed).
     from mxt.data import batch_at
     from mxt.losses import discriminator_loss, generator_loss
 
@@ -209,7 +210,7 @@ def test_paper_layout_tape_holds_at_most_145_mib():
             while isinstance(arr.base, np.ndarray):
                 arr = arr.base
             bases[id(arr)] = arr.nbytes
-    assert sum(bases.values()) / 2**20 <= 145
+    assert sum(bases.values()) / 2**20 <= 118
 
 
 def test_first_nonfinite_names_the_bad_term():
