@@ -73,11 +73,11 @@ class Linear(Module):
     """x @ w + b, then the activation ``act`` (None, "silu" or "softplus")
     in the same tape node."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, bias: bool = True,
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
                  act: str | None = None, dtype=np.float32):
         k = 1.0 / np.sqrt(cin)
         self.w = _uniform(rng, (cin, cout), k, dtype)
-        self.b = _uniform(rng, (cout,), k, dtype) if bias else None
+        self.b = _uniform(rng, (cout,), k, dtype)
         self._act = act
 
     def forward(self, x: Tensor) -> Tensor:
@@ -88,21 +88,20 @@ class LayerNorm(Module):
     """Normalize one axis (the last by default) to zero mean / unit variance,
     then scale+shift."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, axis: int = -1, dtype=np.float32):
+    def __init__(self, dim: int, axis: int = -1, dtype=np.float32):
         self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True, dtype=dtype)
-        self._eps = eps
         self._axis = axis
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, axis=self._axis, eps=self._eps)
+        return T.layer_norm(x, self.gamma, self.beta, axis=self._axis)
 
 
 class ChannelLayerNorm(Module):
     """LayerNorm over the channel axis of (B, C, H, W)."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, dtype=np.float32):
-        self.ln = LayerNorm(channels, eps=eps, axis=1, dtype=dtype)
+    def __init__(self, channels: int, dtype=np.float32):
+        self.ln = LayerNorm(channels, axis=1, dtype=dtype)
 
     def forward(self, x: Tensor) -> Tensor:
         return self.ln(x)
@@ -116,29 +115,31 @@ class Conv2d(Module):
     """
 
     def __init__(self, cin: int, cout: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, pad: int = 0, bias: bool = True, dtype=np.float32):
+                 stride: int = 1, pad: int = 0, dtype=np.float32):
         fan_in = cin * k * k
         kk = 1.0 / np.sqrt(fan_in)
         self.w = _uniform(rng, (fan_in, cout), kk, dtype)
-        self.b = _uniform(rng, (cout,), kk, dtype) if bias else None
+        self.b = _uniform(rng, (cout,), kk, dtype)
         self._k, self._stride, self._pad = k, stride, pad
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.w, self.b, self._k, self._stride, self._pad)
 
 
-class DepthwiseConv2d(Module):
-    """Per-channel k x k convolution (stride 1); weight layout (k*k, C)."""
+# every depthwise conv of the network is 3x3 with padding 1, so keeps H and W
+DW_KERNEL, DW_PAD = 3, 1
 
-    def __init__(self, channels: int, rng: np.random.Generator, k: int = 3,
-                 pad: int = 1, bias: bool = True, dtype=np.float32):
-        kk = 1.0 / np.sqrt(k * k)
-        self.w = _uniform(rng, (k * k, channels), kk, dtype)
-        self.b = _uniform(rng, (channels,), kk, dtype) if bias else None
-        self._k, self._pad = k, pad
+
+class DepthwiseConv2d(Module):
+    """Per-channel 3x3 convolution (stride 1, padding 1); weight layout (9, C)."""
+
+    def __init__(self, channels: int, rng: np.random.Generator, dtype=np.float32):
+        kk = 1.0 / np.sqrt(DW_KERNEL * DW_KERNEL)
+        self.w = _uniform(rng, (DW_KERNEL * DW_KERNEL, channels), kk, dtype)
+        self.b = _uniform(rng, (channels,), kk, dtype)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.depthwise_conv2d(x, self.w, self.b, self._k, self._pad)
+        return T.depthwise_conv2d(x, self.w, self.b, DW_KERNEL, DW_PAD)
 
 
 class CausalConv1d(Module):
@@ -263,7 +264,7 @@ class Gdfn(Module):
 
     def __init__(self, channels: int, rng: np.random.Generator, expansion: float = 2.66,
                  context_broadcast: bool = False, dtype=np.float32):
-        hidden = max(channels, int(round(expansion * channels)))
+        hidden = int(round(expansion * channels))
         self.norm = ChannelLayerNorm(channels, dtype=dtype)
         self.expand = Conv2d(channels, 2 * hidden, 1, rng, dtype=dtype)
         self.dw = DepthwiseConv2d(2 * hidden, rng, dtype=dtype)

@@ -153,6 +153,10 @@ def cmd_train(args) -> int:
         train_loop,
     )
 
+    # the checkpoint is written only after the steps; a path it cannot take
+    # fails here, before them
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ContractError(f"--out {args.out} is not a file path in an existing directory")
     if args.resume:
         # a resumed run takes its config from the checkpoint; only the step
         # target (--iters) and the output path may change
@@ -236,6 +240,10 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import STANDARD_BLOCKS, run_standard_suite
 
+    for flag, value in (("--step", args.step), ("--tol", args.tol)):
+        # written as "not in range" so that nan fails too
+        if not 0 < value < float("inf"):
+            raise ContractError(f"{flag} must be finite and > 0, got {value}")
     names = args.blocks.split(",") if args.blocks else None
     unknown = [n for n in names or () if n not in STANDARD_BLOCKS]
     if unknown:

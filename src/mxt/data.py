@@ -29,6 +29,7 @@ BUCKETS = {
 }
 
 MAX_MASK_ATTEMPTS = 64
+MAX_STROKES = 256  # per attempt
 
 
 # ---- PPM / PGM ------------------------------------------------------------------
@@ -170,18 +171,14 @@ def write_image(path: str, img: np.ndarray) -> None:
 class MaskSpec:
     """Recipe for one irregular mask.
 
-    bucket names a coverage range from BUCKETS; bounds overrides it with an
-    explicit (lo, hi]. Stroke geometry scales with the image side.
+    bucket names a coverage range (lo, hi] from BUCKETS. Stroke geometry
+    scales with the image side.
     """
 
     bucket: str = "mid"
     seed: int = 0
-    bounds: tuple | None = None
-    max_strokes: int = 256
 
     def range(self) -> tuple:
-        if self.bounds is not None:
-            return self.bounds
         if self.bucket not in BUCKETS:
             raise ContractError(f"unknown bucket {self.bucket!r}; have {sorted(BUCKETS)}")
         return BUCKETS[self.bucket]
@@ -230,16 +227,14 @@ def generate_irregular_mask(spec: MaskSpec, height: int, width: int) -> MaskResu
     retried with a fresh sub-seed (up to MAX_MASK_ATTEMPTS). If every attempt
     misses, the nearest miss is returned with fallback=True and a warning.
     """
-    lo, hi = MaskSpec.range(spec)
-    if not (0.0 <= lo < hi <= 1.0):
-        raise ContractError(f"bad mask ratio range ({lo}, {hi}]")
+    lo, hi = spec.range()
     best = None
     best_dist = np.inf
     for attempt in range(MAX_MASK_ATTEMPTS):
         rng = np.random.default_rng([spec.seed, attempt])
         target = rng.uniform(lo, hi)
         canvas = np.zeros((height, width), dtype=bool)
-        for _ in range(spec.max_strokes):
+        for _ in range(MAX_STROKES):
             if canvas.mean() >= target:
                 break
             _draw_stroke(canvas, rng)

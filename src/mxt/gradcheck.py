@@ -65,8 +65,11 @@ def check_function(build: Callable[..., Tensor], arrays: Sequence[np.ndarray], h
     return (max(errs) if errs else 0.0), errs
 
 
-def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, seed: int = 1234,
-                           forward=None, check_input: bool = True) -> dict:
+# seed of the random weights that reduce a module's output to a scalar
+_REDUCE_SEED = 1234
+
+
+def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, forward=None) -> dict:
     """FD-verify a Module's gradients wrt its input and every parameter.
 
     The module must be built at float64. The (possibly non-scalar) output is
@@ -87,7 +90,7 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, seed: int = 1
     xt = Tensor(x, requires_grad=True, dtype=np.float64)
     with Tape():
         y = forward(module, xt)
-        w = np.random.default_rng(seed).standard_normal(y.shape)
+        w = np.random.default_rng(_REDUCE_SEED).standard_normal(y.shape)
         (y * Tensor(w, dtype=np.float64)).sum().backward()
     analytic = {"<input>": xt.grad if xt.grad is not None else np.zeros_like(x)}
     for name, p in params:
@@ -101,8 +104,7 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, seed: int = 1
             out = forward(module, Tensor(x, dtype=np.float64))
         return float(np.sum(out.data * w))
 
-    checked = [("<input>", x)] if check_input else []
-    checked += [(name, p.data) for name, p in params if name in analytic]
+    checked = [("<input>", x)] + [(name, p.data) for name, p in params if name in analytic]
     numeric = fd_gradients(value, [arr for _, arr in checked], h=h)
     report = {name: relative_error(analytic[name], g)
               for (name, _), g in zip(checked, numeric)}

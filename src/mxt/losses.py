@@ -35,13 +35,13 @@ class LossWeights:
 
 
 class FeatureExtractor(Module):
-    """Four stride-2 conv+relu stages; forward returns all four feature maps."""
+    """Four stride-2 conv+relu stages over an RGB image, drawn from
+    ``EXTRACTOR_SEED``; forward returns all four feature maps."""
 
-    def __init__(self, in_channels: int = 3, widths=(16, 32, 64, 128),
-                 seed: int = EXTRACTOR_SEED, dtype=np.float32):
-        rng = np.random.default_rng(seed)
+    def __init__(self, widths=(16, 32, 64, 128), dtype=np.float32):
+        rng = np.random.default_rng(EXTRACTOR_SEED)
         self.stages = []
-        cin = in_channels
+        cin = 3
         for cout in widths:
             self.stages.append(Conv2d(cin, cout, 3, rng, stride=2, pad=1, dtype=dtype))
             cin = cout
@@ -56,12 +56,13 @@ class FeatureExtractor(Module):
 
 
 class PatchDiscriminator(Module):
-    """Stride-2 conv stack ending in a 1x1 logit map over patches."""
+    """Stride-2 conv stack over an RGB image ending in a 1x1 logit map over
+    patches."""
 
-    def __init__(self, rng: np.random.Generator | None, in_channels: int = 3,
-                 widths=(32, 64, 128), dtype=np.float32):
+    def __init__(self, rng: np.random.Generator | None, widths=(32, 64, 128),
+                 dtype=np.float32):
         self.stages = []
-        cin = in_channels
+        cin = 3
         for cout in widths:
             self.stages.append(Conv2d(cin, cout, 3, rng, stride=2, pad=1, dtype=dtype))
             cin = cout
@@ -69,7 +70,7 @@ class PatchDiscriminator(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         for conv in self.stages:
-            x = T.leaky_relu(conv(x), 0.2)
+            x = T.leaky_relu(conv(x))
         return self.head(x)  # (B, 1, h, w) logits
 
 

@@ -1,9 +1,10 @@
 """Quality metrics and evaluation aggregation.
 
-PSNR caps at 99.0 dB (identical images hit the cap instead of infinity).
-SSIM uses an 11x11 Gaussian window (sigma 1.5), valid-mode windows only,
-stabilizers C1 = (0.01*max)^2 and C2 = (0.03*max)^2, computed on the
-channel-mean grayscale of color inputs.
+Images are in [0, 1], so the peak value is 1. PSNR caps at 99.0 dB
+(identical images hit the cap instead of infinity). SSIM uses an 11x11
+Gaussian window (sigma 1.5), valid-mode windows only, stabilizers
+C1 = 0.01^2 and C2 = 0.03^2, computed on the channel-mean grayscale of color
+inputs.
 """
 
 from __future__ import annotations
@@ -17,15 +18,17 @@ from .tensor import ContractError, DimensionError
 PSNR_CAP = 99.0
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
+SSIM_C1 = 0.01 ** 2
+SSIM_C2 = 0.03 ** 2
 
 
-def psnr(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"psnr: shapes differ {a.shape} vs {b.shape}")
     mse = float(np.mean((np.asarray(a, np.float64) - np.asarray(b, np.float64)) ** 2))
     if mse == 0.0:
         return PSNR_CAP
-    return min(PSNR_CAP, 10.0 * np.log10(max_val * max_val / mse))
+    return min(PSNR_CAP, 10.0 * np.log10(1.0 / mse))
 
 
 def l1_metric(a: np.ndarray, b: np.ndarray) -> float:
@@ -34,10 +37,11 @@ def l1_metric(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.mean(np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64))))
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size, dtype=np.float64) - half
-    g1 = np.exp(-(coords**2) / (2.0 * sigma * sigma))
+def gaussian_window() -> np.ndarray:
+    """The SSIM_WINDOW x SSIM_WINDOW Gaussian of SSIM_SIGMA, summing to 1."""
+    half = (SSIM_WINDOW - 1) / 2.0
+    coords = np.arange(SSIM_WINDOW, dtype=np.float64) - half
+    g1 = np.exp(-(coords**2) / (2.0 * SSIM_SIGMA * SSIM_SIGMA))
     w = g1[:, None] * g1[None, :]
     return w / w.sum()
 
@@ -56,22 +60,20 @@ def _windowed(img: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.tensordot(views, w, axes=((2, 3), (0, 1)))
 
 
-def ssim(a: np.ndarray, b: np.ndarray, max_val: float = 1.0) -> float:
+def ssim(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"ssim: shapes differ {a.shape} vs {b.shape}")
     x, y = _to_gray(a), _to_gray(b)
     if x.shape[0] < SSIM_WINDOW or x.shape[1] < SSIM_WINDOW:
         raise ContractError(f"ssim needs at least {SSIM_WINDOW}x{SSIM_WINDOW}, got {x.shape}")
     w = gaussian_window()
-    c1 = (0.01 * max_val) ** 2
-    c2 = (0.03 * max_val) ** 2
     mu_x = _windowed(x, w)
     mu_y = _windowed(y, w)
     sig_x = _windowed(x * x, w) - mu_x * mu_x
     sig_y = _windowed(y * y, w) - mu_y * mu_y
     sig_xy = _windowed(x * y, w) - mu_x * mu_y
-    num = (2 * mu_x * mu_y + c1) * (2 * sig_xy + c2)
-    den = (mu_x**2 + mu_y**2 + c1) * (sig_x + sig_y + c2)
+    num = (2 * mu_x * mu_y + SSIM_C1) * (2 * sig_xy + SSIM_C2)
+    den = (mu_x**2 + mu_y**2 + SSIM_C1) * (sig_x + sig_y + SSIM_C2)
     return float(np.mean(num / den))
 
 

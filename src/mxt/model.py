@@ -56,6 +56,10 @@ class ModelConfig:
                      "conv_kernel", "scan_chunk", "input_channels", "output_channels"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # the feed-forward's hidden width, round(gdfn_expansion * channels),
+        # must not fall below its input width
+        if not self.gdfn_expansion >= 1:
+            raise ContractError(f"gdfn_expansion must be >= 1, got {self.gdfn_expansion}")
 
     @property
     def levels(self) -> int:
@@ -314,12 +318,11 @@ def _decode_value(default, raw: str, key: str):
     return value
 
 
-def save_model(path: str, model: MxT, extra_meta: dict | None = None) -> None:
+def save_model(path: str, model: MxT) -> None:
     from .checkpoint import save_checkpoint
 
     meta = encode_config(model.config, "model.")
     meta["width"] = width_of(model.embed.w.data.dtype)
-    meta.update(extra_meta or {})
     tensors = {f"model.{n}": p.data for n, p in model.named_parameters()}
     save_checkpoint(path, meta, tensors)
 

@@ -455,12 +455,16 @@ def relu(x: Tensor) -> Tensor:
     return _unary(x, lambda xd: np.maximum(xd, 0), lambda g, xd, y: g * (xd > 0))
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+LEAKY_SLOPE = 0.2
+
+
+def leaky_relu(x: Tensor) -> Tensor:
+    """x where positive, else ``LEAKY_SLOPE`` * x."""
     def fwd(xd):
-        return np.where(xd > 0, xd, xd * xd.dtype.type(slope))
+        return np.where(xd > 0, xd, xd * xd.dtype.type(LEAKY_SLOPE))
 
     def dfd(g, xd, y):
-        return g * np.where(xd > 0, xd.dtype.type(1), xd.dtype.type(slope))
+        return g * np.where(xd > 0, xd.dtype.type(1), xd.dtype.type(LEAKY_SLOPE))
 
     return _unary(x, fwd, dfd)
 
@@ -556,18 +560,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def _affine(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray | None) -> np.ndarray:
+def _affine(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
     """xd @ wd + bd, the bias added in place, in the arithmetic of
     ``add(matmul(x, w), b)``."""
     out = np.matmul(xd, wd)
-    if bd is not None:
-        out += bd
+    out += bd
     return out
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None, act: str | None = None) -> Tensor:
-    """act(x @ w + b), with ``b`` (w.shape[-1],) or None and ``act`` None,
-    "silu" or "softplus": one node that keeps only x and w.
+def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
+    """act(x @ w + b), with ``b`` (w.shape[-1],) and ``act`` None, "silu" or
+    "softplus": one node that keeps only its inputs.
 
     The bias is added in place to the product, and the activation runs on
     that, so values equal ``silu(add(matmul(x, w), b))`` and the like.
@@ -578,19 +581,16 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None, act: str | None = None) -> Te
         raise ContractError(f"linear: act must be one of {sorted(_ACTIVATIONS)}, got {act!r}")
     _check_matmul(x, w, "linear")
     inputs = _layer_inputs("linear", x, w, b)
-    if b is not None and b.shape != (w.shape[-1],):
+    if b.shape != (w.shape[-1],):
         raise DimensionError(f"linear: bias {b.shape} does not fit weight {w.shape}")
-    bd = None if b is None else b.data
-    out = _affine(x.data, w.data, bd)
+    out = _affine(x.data, w.data, b.data)
     if act is not None:
         out = _ACTIVATIONS[act][0](out)
 
-    def bwd(g, xd=x.data, wd=w.data):
+    def bwd(g, xd=x.data, wd=w.data, bd=b.data):
         if act is not None:
             g = _ACTIVATIONS[act][1](g, _affine(xd, wd, bd))
         gx, gw = _matmul_grads(g, x, w, xd, wd)
-        if b is None:
-            return gx, gw
         return gx, gw, (_unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _make(out, inputs, bwd)
@@ -760,11 +760,10 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple) -> Tensor:
 # 1/std), so a conv or a norm costs one node and one saved output.
 
 
-def _layer_inputs(op: str, x: Tensor, w: Tensor, b: Tensor | None) -> tuple:
-    inputs = (x, w) if b is None else (x, w, b)
-    for t in inputs[1:]:
+def _layer_inputs(op: str, x: Tensor, w: Tensor, b: Tensor) -> tuple:
+    for t in (w, b):
         _check_same_dtype(x, t, op)
-    return inputs
+    return x, w, b
 
 
 # conv2d builds its forward columns in bands of output rows of about this
@@ -806,24 +805,26 @@ def _col2im(dcol: np.ndarray, shape: tuple, k: int, stride: int, pad: int,
     return gxp[:, :, pad : pad + h, pad : pad + w]
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, stride: int = 1,
+def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int, stride: int = 1,
            pad: int = 0) -> Tensor:
     """k x k convolution of (B, cin, H, W) with zero padding.
 
     ``w`` is (k*k*cin, cout), row (dy*k + dx)*cin + ci holding tap (dy, dx) of
-    input channel ci; ``b`` is (cout,) or None. The output w^T @ im2col(x)
-    lands in (B, cout, oh*ow) order, so NCHW needs no transpose. The forward
-    builds the columns for one band of output rows at a time, each about
-    ``_COLUMN_BYTES``; every output element keeps its whole k*k*cin
-    contraction, so the banding does not change a value. Backward rebuilds
-    all the columns for dw and scatter-adds w @ g back onto x (col2im).
+    input channel ci; ``b`` is (cout,). The output w^T @ im2col(x) lands in
+    (B, cout, oh*ow) order, so NCHW needs no transpose. The forward builds
+    the columns for one band of output rows at a time, each about
+    ``_COLUMN_BYTES`` (a 1x1 stride-1 conv takes all rows as one band, its
+    columns a view of x), and writes each band's product straight into the
+    output; every output element keeps its whole k*k*cin contraction, so the
+    banding does not change a value. Backward rebuilds all the columns for
+    dw and scatter-adds w @ g back onto x (col2im).
     """
     inputs = _layer_inputs("conv2d", x, w, b)
     if x.ndim != 4:
         raise DimensionError(f"conv2d expects (B, C, H, W), got {x.shape}")
     bsz, cin, h, wd = x.shape
-    if w.shape[0] != k * k * cin or (b is not None and b.shape != (w.shape[1],)):
-        raise DimensionError(f"conv2d: weight {w.shape} / bias {getattr(b, 'shape', None)} "
+    if w.shape[0] != k * k * cin or b.shape != (w.shape[1],):
+        raise DimensionError(f"conv2d: weight {w.shape} / bias {b.shape} "
                              f"do not fit {k}x{k} taps over {cin} channels")
     cout = w.shape[1]
     oh = (h + 2 * pad - k) // stride + 1
@@ -831,16 +832,15 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, stride: int = 1,
     if oh < 1 or ow < 1:
         raise DimensionError(f"conv2d: {k}x{k} kernel does not fit input {x.shape} with pad {pad}")
     wt, xp = np.ascontiguousarray(w.data.T), _pad2d(x.data, pad)
-    band = max(1, _COLUMN_BYTES // (bsz * k * k * cin * ow * x.data.itemsize))
-    if band >= oh or (k == 1 and stride == 1):
-        out = np.matmul(wt, _im2col(xp, k, stride, range(oh), ow))
+    if k == 1 and stride == 1:
+        band = oh
     else:
-        out = np.empty((bsz, cout, oh * ow), dtype=x.data.dtype)
-        for r in range(0, oh, band):
-            rows = range(r, min(r + band, oh))
-            out[:, :, r * ow : rows.stop * ow] = np.matmul(wt, _im2col(xp, k, stride, rows, ow))
-    if b is not None:
-        out += b.data[:, None]
+        band = max(1, _COLUMN_BYTES // (bsz * k * k * cin * ow * x.data.itemsize))
+    out = np.empty((bsz, cout, oh * ow), dtype=x.data.dtype)
+    for r in range(0, oh, band):
+        rows = range(r, min(r + band, oh))
+        np.matmul(wt, _im2col(xp, k, stride, rows, ow), out=out[:, :, r * ow : rows.stop * ow])
+    out += b.data[:, None]
     out = out.reshape(bsz, cout, oh, ow)
 
     def bwd(g, xd=x.data, wd=w.data):
@@ -851,8 +851,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, stride: int = 1,
         if w.requires_grad:
             col = _im2col(_pad2d(xd, pad), k, stride, range(oh), ow)
             gw = np.matmul(col, g.transpose(0, 2, 1)).sum(axis=0)
-        if b is None:
-            return gx, gw
         return gx, gw, (g.sum(axis=(0, 2)) if b.requires_grad else None)
 
     return _make(out, inputs, bwd)
@@ -921,9 +919,9 @@ def _depthwise(xd: np.ndarray, taps: np.ndarray, bias, k: int, pad: int) -> np.n
     return out.reshape(bsz, c, oh, ow)
 
 
-def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, pad: int) -> Tensor:
+def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor, k: int, pad: int) -> Tensor:
     """Per-channel k x k convolution (stride 1, zero padding) of (B, C, H, W);
-    ``w`` is (k*k, C) with row dy*k + dx holding tap (dy, dx).
+    ``w`` is (k*k, C) with row dy*k + dx holding tap (dy, dx), ``b`` is (C,).
 
     Backward: dx is the same op on g with the taps flipped and padding
     k-1-pad; dw is, per tap, a row-wise dot of g with the shifted input.
@@ -932,14 +930,14 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, pad: int) -
     if x.ndim != 4:
         raise DimensionError(f"depthwise_conv2d expects (B, C, H, W), got {x.shape}")
     bsz, c, h, wd = x.shape
-    if w.shape != (k * k, c) or (b is not None and b.shape != (c,)):
-        raise DimensionError(f"depthwise_conv2d: weight {w.shape} / bias {getattr(b, 'shape', None)} "
+    if w.shape != (k * k, c) or b.shape != (c,):
+        raise DimensionError(f"depthwise_conv2d: weight {w.shape} / bias {b.shape} "
                              f"do not fit {k}x{k} taps over {c} channels")
     wp = wd + 2 * pad
     oh, ow = h + 2 * pad - k + 1, wp - k + 1
     if oh < 1 or ow < 1:
         raise DimensionError(f"depthwise_conv2d: {k}x{k} kernel does not fit input {x.shape}")
-    out = _depthwise(x.data, w.data, None if b is None else b.data, k, pad)
+    out = _depthwise(x.data, w.data, b.data, k, pad)
 
     def bwd(g, xd=x.data, wdat=w.data):
         g = np.asarray(g)
@@ -960,29 +958,27 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor | None, k: int, pad: int) -
                 for t, off in enumerate(_tap_offsets(k, wp)):
                     np.einsum("rn,rn->r", gflat, xf[:, off : off + n], out=gw[t, r : r + m])
             gw = gw.reshape(k * k, bsz, c).sum(axis=1)
-        if b is None:
-            return gx, gw
         return gx, gw, (g.sum(axis=(0, 2, 3)) if b.requires_grad else None)
 
     return _make(out, inputs, bwd)
 
 
-def causal_conv1d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
+def causal_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Depthwise causal convolution of (B, L, C): out[t] = b + sum_j
-    x[t - (k-1) + j] * w[j], with x zero before t = 0; ``w`` is (k, C)."""
+    x[t - (k-1) + j] * w[j], with x zero before t = 0; ``w`` is (k, C) and
+    ``b`` (C,)."""
     inputs = _layer_inputs("causal_conv1d", x, w, b)
     if x.ndim != 3:
         raise DimensionError(f"causal_conv1d expects (B, L, C), got {x.shape}")
     k, c = w.shape
-    if c != x.shape[2] or (b is not None and b.shape != (c,)):
-        raise DimensionError(f"causal_conv1d: weight {w.shape} / bias {getattr(b, 'shape', None)} "
+    if c != x.shape[2] or b.shape != (c,):
+        raise DimensionError(f"causal_conv1d: weight {w.shape} / bias {b.shape} "
                              f"do not fit {x.shape[2]} channels")
     L = x.shape[1]
     lags = [(j, k - 1 - j) for j in range(k) if k - 1 - j < L]  # tap j reads x[t - lag]
     xd = x.data
     out = np.zeros_like(xd)
-    if b is not None:
-        out += b.data
+    out += b.data
     for j, lag in lags:
         out[:, lag:] += xd[:, : L - lag] * w.data[j]
 
@@ -995,17 +991,18 @@ def causal_conv1d(x: Tensor, w: Tensor, b: Tensor | None) -> Tensor:
                 gx[:, : L - lag] += g[:, lag:] * wd[j]
             if gw is not None:
                 gw[j] = np.einsum("blc,blc->c", g[:, lag:], xd[:, : L - lag])
-        if b is None:
-            return gx, gw
         return gx, gw, (g.sum(axis=(0, 1)) if b.requires_grad else None)
 
     return _make(out, inputs, bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize along one axis to zero mean and unit variance, then scale by
-    gamma and shift by beta, both (x.shape[axis],). Keeps its input and the
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor:
+    """Normalize along one axis to zero mean and unit variance (the variance
+    plus ``LAYER_NORM_EPS`` under the root), then scale by gamma and shift by
+    beta, both (x.shape[axis],). Keeps its input and the
     per-row std and 1/std; backward recomputes the normalized input, mean
     included, with the forward's own ops."""
     for t in (gamma, beta):
@@ -1018,7 +1015,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1,
     pshape = (c,) + (1,) * (x.ndim - 1 - axis)
     xd = x.data
     xn = xd - xd.mean(axis=axis, keepdims=True)
-    std = np.sqrt(np.mean(xn * xn, axis=axis, keepdims=True) + eps)
+    std = np.sqrt(np.mean(xn * xn, axis=axis, keepdims=True) + LAYER_NORM_EPS)
     xn /= std
     rstd = 1.0 / std
     out = xn * gamma.data.reshape(pshape)

@@ -17,7 +17,6 @@ from . import tensor as T
 from .blocks import Module
 from .data import batch_at
 from .losses import (
-    EXTRACTOR_SEED,
     FeatureExtractor,
     LossWeights,
     PatchDiscriminator,
@@ -62,8 +61,9 @@ class TrainConfig:
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ContractError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if self.image_size < 1:
-            raise ContractError(f"image_size must be >= 1, got {self.image_size}")
+        for name in ("image_size", "data_count"):
+            if getattr(self, name) < 1:
+                raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("iters", "log_every", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -170,7 +170,7 @@ def _assemble_state(model: MxT, tcfg: TrainConfig, weights: LossWeights,
     opt_g = Adam(model, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
     extractor = None
     if weights.style != 0 or weights.perceptual != 0:
-        extractor = FeatureExtractor(seed=EXTRACTOR_SEED, dtype=dtype)
+        extractor = FeatureExtractor(dtype=dtype)
     disc = opt_d = None
     if weights.adversarial != 0:
         disc = PatchDiscriminator(disc_rng, dtype=dtype)

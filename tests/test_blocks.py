@@ -139,19 +139,19 @@ def test_depthwise_plane_blocks_do_not_change_values(monkeypatch):
 def test_depthwise_streamed_blocks_bit_equal_to_shifted_sum(monkeypatch, pad, bias):
     # blocks of 3 of the 2*5 planes, each padded into one reused scratch
     # and cropped straight into a contiguous output, equal the taps summed
-    # over the whole padded input in the same order
+    # over the whole padded input in the same order, starting from the bias
+    # (bias False: an all-zero bias)
     r = rng(47)
     x = r.standard_normal((2, 5, 6, 7)).astype(np.float32)
     w = r.standard_normal((9, 5)).astype(np.float32)
-    b = r.standard_normal(5).astype(np.float32) if bias else None
+    b = r.standard_normal(5).astype(np.float32) if bias else np.zeros(5, np.float32)
     oh, ow = 6 + 2 * pad - 2, 7 + 2 * pad - 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    ref = np.zeros((2, 5, oh, ow), np.float32) if b is None else np.broadcast_to(
-        b[:, None, None], (2, 5, oh, ow)).copy()
+    ref = np.broadcast_to(b[:, None, None], (2, 5, oh, ow)).copy()
     for t in range(9):
         ref += xp[:, :, t // 3 : t // 3 + oh, t % 3 : t % 3 + ow] * w[t][:, None, None]
     monkeypatch.setattr(T, "_BLOCK_BYTES", 3 * oh * (7 + 2 * pad) * 4)
-    got = T.depthwise_conv2d(Tensor(x), Tensor(w), None if b is None else Tensor(b), 3, pad).data
+    got = T.depthwise_conv2d(Tensor(x), Tensor(w), Tensor(b), 3, pad).data
     assert got.flags.c_contiguous
     assert np.array_equal(got, ref)
 

@@ -143,7 +143,8 @@ def test_data_errors_exit_2(tmp_path, capsys):
     "model.pooled_spatial=0", "model.heads=0", "model.expand=0", "model.conv_kernel=0",
     "model.input_channels=0", "train.eps=0", "train.beta1=1", "train.beta2=1.0",
     "train.beta1=-0.1", "train.image_size=0", "train.iters=-1", "train.log_every=-1",
-    "train.checkpoint_every=-1",
+    "train.checkpoint_every=-1", "train.data_count=0", "model.gdfn_expansion=0.5",
+    "model.gdfn_expansion=-3",
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, pair):
     # each is rejected while the config is read, before any training step
@@ -170,6 +171,44 @@ def test_resume_refuses_flags_it_would_ignore(tmp_path, capsys, monkeypatch):
     # the one setting it does take is range-checked like a fresh run's
     assert main(["train", "--out", ckpt, "--resume", ckpt, "--iters", "-1"]) == 2
     assert "iters" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--step", "0"), ("--step", "nan"), ("--step", "-1e-5"), ("--tol", "-1"),
+    ("--tol", "inf"),
+])
+def test_gradcheck_rejects_bad_step_or_tol(monkeypatch, capsys, flag, value):
+    import mxt.gradcheck
+
+    def no_checks(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(mxt.gradcheck, "run_standard_suite", no_checks)
+    assert main(["gradcheck", "--blocks", "loss_l1", f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "numeric failure" not in err
+
+
+def test_train_checks_out_directory_before_any_step(tmp_path, monkeypatch, capsys):
+    import mxt.train
+
+    ckpt = _train_tiny(tmp_path)
+
+    def no_steps(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(mxt.train, "train_loop", no_steps)
+    missing = str(tmp_path / "missing" / "run.ckpt")
+    capsys.readouterr()
+    assert main(["train", "--out", missing, "--iters", "1", "--synthetic", "2",
+                 "--image-size", "16", *TINY]) == 2
+    assert "missing" in capsys.readouterr().err
+    assert main(["train", "--out", missing, "--resume", ckpt, "--iters", "3"]) == 2
+    assert "missing" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "missing")
+    # an existing directory is no checkpoint path either
+    assert main(["train", "--out", str(tmp_path), "--resume", ckpt, "--iters", "3"]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
 
 
 def test_gradcheck_failure_exits_3(capsys):

@@ -110,10 +110,10 @@ def test_mask_rectangular_canvas():
     assert lo < res.ratio <= hi
 
 
-def test_impossible_bucket_falls_back_with_warning():
-    spec = D.MaskSpec(bucket="mid", seed=1, bounds=(0.9998, 0.9999))
+def test_impossible_bucket_falls_back_with_warning(monkeypatch):
+    monkeypatch.setitem(D.BUCKETS, "mid", (0.9998, 0.9999))
     with pytest.warns(UserWarning, match="nearest"):
-        res = D.generate_irregular_mask(spec, 32, 32)
+        res = D.generate_irregular_mask(D.MaskSpec(bucket="mid", seed=1), 32, 32)
     assert res.fallback
     assert res.attempts == D.MAX_MASK_ATTEMPTS
 

@@ -1,11 +1,9 @@
 """The FD machinery itself plus the named verification registry."""
 
-import numpy as np
 import pytest
 
 from mxt.gradcheck import (
     STANDARD_BLOCKS,
-    check_module_gradients,
     run_standard_check,
     run_standard_suite,
 )
@@ -38,14 +36,3 @@ def test_suite_respects_name_subset():
     got = dict(run_standard_suite(names=["loss_l1"]))
     assert list(got) == ["loss_l1"]
     assert got["loss_l1"]["worst"] < 1e-5
-
-
-def test_check_input_flag_skips_input_slot():
-    from mxt.blocks import ChannelLayerNorm
-
-    x = np.random.default_rng(0).standard_normal((1, 3, 4, 4))
-    full = check_module_gradients(ChannelLayerNorm(3, dtype=np.float64), x)
-    assert "<input>" in full
-    partial = check_module_gradients(ChannelLayerNorm(3, dtype=np.float64), x,
-                                     check_input=False)
-    assert "<input>" not in partial and "worst" in partial

@@ -129,13 +129,15 @@ def _field_values(f):
     """Values a field can hold that its config accepts."""
     if f.name == "adv_mode":
         return st.sampled_from(["nonsat", "hinge"])
+    if f.name == "gdfn_expansion":
+        return st.floats(1, 8)
     if isinstance(f.default, bool):
         return st.booleans()
     if isinstance(f.default, tuple):  # odd length, as hm_counts needs
         return st.lists(st.integers(0, 99), max_size=3).map(lambda c: (*c, 1, *c))
     if isinstance(f.default, int):
         return st.integers(1, 10**12)
-    if isinstance(f.default, float):  # (0, 1) is in range for every float field
+    if isinstance(f.default, float):  # (0, 1) is in range for every other float field
         return st.floats(0, 1, exclude_min=True, exclude_max=True)
     return st.text()
 
@@ -295,9 +297,9 @@ def test_checkpoint_detects_corruption(tmp_path):
 def test_model_save_load_roundtrip(tmp_path):
     p = str(tmp_path / "model.ckpt")
     m = tiny_model(seed=16)
-    save_model(p, m, extra_meta={"step": "3"})
+    save_model(p, m)
     loaded, meta = load_model(p)
-    assert meta["step"] == "3"
+    assert meta["width"] == "standard"
     x = rng(17).uniform(0, 1, (1, 4, 16, 16)).astype(np.float32)
     ya = m(Tensor(x, dtype=np.float32)).data
     yb = loaded(Tensor(x, dtype=np.float32)).data

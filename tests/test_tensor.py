@@ -130,11 +130,12 @@ def test_matmul_rank_and_inner_dim_errors():
     with pytest.raises(DimensionError):
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
     with pytest.raises(DimensionError):
-        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), None)
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(2)))
     with pytest.raises(DimensionError):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
     with pytest.raises(ContractError):
-        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), None, act="relu")
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)),
+                 act="relu")
 
 
 # ---- reductions ----------------------------------------------------------------
@@ -281,12 +282,15 @@ def test_attention_float32_bit_equal_to_unfused_chain(heads, scaled):
 @pytest.mark.parametrize("x_shape", [(2, 5, 4), (2, 3, 5, 4)])
 @pytest.mark.parametrize("bias", [True, False])
 def test_linear_act_float32_bit_equal_to_unfused_chain(act, x_shape, bias):
+    # bias False: an all-zero bias, which must leave the bare product's
+    # output and x, w gradients unchanged
     x, w, b = _float32_leaves(51, x_shape, (4, 6), (6,))
+    if not bias:
+        b = Tensor(np.zeros(6, np.float32), requires_grad=True)
     inputs = (x, w, b) if bias else (x, w)
     out_shape = x_shape[:-1] + (6,)
     unary = getattr(T, act)
-    fused = _float32_run(lambda x, w, *b: T.linear(x, w, b[0] if b else None, act=act),
-                         inputs, out_shape, 52)
+    fused = _float32_run(lambda x, w, b: T.linear(x, w, b, act=act), (x, w, b), out_shape, 52)
     ref = _float32_run(lambda x, w, *b: unary(T.matmul(x, w) + b[0] if b else T.matmul(x, w)),
                        inputs, out_shape, 52)
     assert fused[0].dtype == np.float32
@@ -297,11 +301,13 @@ def test_linear_act_float32_bit_equal_to_unfused_chain(act, x_shape, bias):
 @pytest.mark.parametrize("x_shape", [(2, 5, 4), (2, 3, 5, 4)])
 @pytest.mark.parametrize("bias", [True, False])
 def test_linear_float32_bit_equal_to_matmul_plus_bias(x_shape, bias):
+    # bias False: an all-zero bias, as in the test above
     x, w, b = _float32_leaves(49, x_shape, (4, 6), (6,))
+    if not bias:
+        b = Tensor(np.zeros(6, np.float32), requires_grad=True)
     inputs = (x, w, b) if bias else (x, w)
     out_shape = x_shape[:-1] + (6,)
-    fused = _float32_run(lambda x, w, *b: T.linear(x, w, b[0] if b else None),
-                         inputs, out_shape, 50)
+    fused = _float32_run(T.linear, (x, w, b), out_shape, 50)
     ref = _float32_run(lambda x, w, *b: T.matmul(x, w) + b[0] if b else T.matmul(x, w),
                        inputs, out_shape, 50)
     assert fused[0].dtype == np.float32
@@ -711,27 +717,25 @@ def _fd_check_fused(op, arrays, out_shape, seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3), st.integers(3, 5),
        st.integers(3, 5), st.sampled_from([1, 3]), st.sampled_from([1, 2]),
-       st.sampled_from([0, 1]), st.booleans(), st.integers(0, 2**16))
-def test_conv2d_gradients_property(bsz, cin, cout, h, w, k, stride, pad, bias, seed):
+       st.sampled_from([0, 1]), st.integers(0, 2**16))
+def test_conv2d_gradients_property(bsz, cin, cout, h, w, k, stride, pad, seed):
     r = rng(seed)
-    arrays = [r.standard_normal((bsz, cin, h, w)), r.standard_normal((k * k * cin, cout))]
-    if bias:
-        arrays.append(r.standard_normal(cout))
+    arrays = [r.standard_normal((bsz, cin, h, w)), r.standard_normal((k * k * cin, cout)),
+              r.standard_normal(cout)]
     oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
-    _fd_check_fused(lambda x, wt, *b: T.conv2d(x, wt, b[0] if b else None, k, stride, pad),
+    _fd_check_fused(lambda x, wt, b: T.conv2d(x, wt, b, k, stride, pad),
                     arrays, (bsz, cout, oh, ow), seed + 1)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 2), st.integers(1, 3), st.integers(3, 5), st.integers(3, 5),
-       st.sampled_from([1, 3]), st.sampled_from([0, 1]), st.booleans(), st.integers(0, 2**16))
-def test_depthwise_conv2d_gradients_property(bsz, c, h, w, k, pad, bias, seed):
+       st.sampled_from([1, 3]), st.sampled_from([0, 1]), st.integers(0, 2**16))
+def test_depthwise_conv2d_gradients_property(bsz, c, h, w, k, pad, seed):
     r = rng(seed)
-    arrays = [r.standard_normal((bsz, c, h, w)), r.standard_normal((k * k, c))]
-    if bias:
-        arrays.append(r.standard_normal(c))
+    arrays = [r.standard_normal((bsz, c, h, w)), r.standard_normal((k * k, c)),
+              r.standard_normal(c)]
     out = (bsz, c, h + 2 * pad - k + 1, w + 2 * pad - k + 1)
-    _fd_check_fused(lambda x, wt, *b: T.depthwise_conv2d(x, wt, b[0] if b else None, k, pad),
+    _fd_check_fused(lambda x, wt, b: T.depthwise_conv2d(x, wt, b, k, pad),
                     arrays, out, seed + 1)
 
 
@@ -801,7 +805,7 @@ def test_fused_ops_record_one_node_and_keep_float32():
         (T.gelu_gate, (x3,), ()),
         (T.linear, (x3, leaf(3, 4), leaf(4)), ()),
         (T.linear, (x3, leaf(3, 4), leaf(4)), ("silu",)),
-        (T.linear, (x3, leaf(3, 4)), (None, "softplus")),
+        (T.linear, (x3, leaf(3, 4), leaf(4)), ("softplus",)),
         (T.attention, (x4,), (1, 2, 0.5)),
     ]
     for op, inputs, args in cases:

@@ -1,5 +1,6 @@
 """Optimizer and training-state behaviour, including exact resume."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -10,7 +11,7 @@ from mxt.blocks import Module
 from mxt.checkpoint import SchemaError, load_checkpoint, save_checkpoint
 from mxt.data import synthetic_dataset
 from mxt.losses import LossWeights
-from mxt.model import ModelConfig
+from mxt.model import ModelConfig, MxT, save_model
 from mxt.tensor import NumericError, Tape, Tensor
 from mxt.train import (
     Adam,
@@ -276,3 +277,23 @@ def test_load_train_state_rejects_tensors_it_does_not_use(tmp_path):
         load_train_state(p)
     for name in ("'disc.", "'opt_d.m.", "'opt_d.v.", "'opt_g.m.bogus'"):
         assert name in str(err.value), name
+
+
+def test_checkpoint_digests_are_pinned(tmp_path):
+    # digests of the files a freshly initialized model and training state
+    # save: any change to parameter names, order, shapes, init draws or
+    # metadata changes them. Init calls no BLAS, so they hold on any host.
+    def digest(path):
+        with open(path, "rb") as f:
+            return hashlib.sha256(f.read()).hexdigest()
+
+    cfg = ModelConfig(base_channels=4, hm_counts=(1,) * 7)
+    save_model(str(tmp_path / "model.ckpt"), MxT(cfg, np.random.default_rng(0)))
+    assert digest(tmp_path / "model.ckpt") == (
+        "c4f0b936b35e6828f3eed7820499727cb883cab58947c43f3833a749f81416d3")
+    # default losses: the discriminator and both Adam optimizers are stored
+    state = init_train_state(cfg, TrainConfig(seed=0))
+    assert state.disc is not None and state.step == 0
+    save_train_state(str(tmp_path / "state.ckpt"), state)
+    assert digest(tmp_path / "state.ckpt") == (
+        "6b0c9cdddc7bcd9652cda03e0935e6e31607fd2067c24af22849945d9a45a434")
