@@ -18,7 +18,7 @@ import functools
 import numpy as np
 
 from . import tensor as T
-from .ssm import SsmParams, init_ssm_params, scan_chunked
+from .ssm import scan_chunked
 from .tensor import DimensionError, Tensor
 
 
@@ -36,9 +36,6 @@ class Module:
                 yield path, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(f"{path}.")
-            elif isinstance(value, SsmParams):
-                for sub, t in value.tensors().items():
-                    yield f"{path}.{sub}", t
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
@@ -154,6 +151,41 @@ class CausalConv1d(Module):
         return T.causal_conv1d(x, self.w, self.b)
 
 
+class SsmParams(Module):
+    """Learned weights of one selective scan over (B, L, E) sequences.
+
+    a_log: (E, N) log-magnitudes of the always-negative decay a = -exp(a_log)
+    dt_w, dt_b: (E, E), (E,) projection and bias behind softplus -> delta
+    b_w, c_w: (E, N) input projections to the per-step b_t / readout c_t
+    skip_d: optional (E,) direct feedthrough added as skip_d * x
+
+    Initial weights: a in [1, 16] pre-log, a delta bias giving softplus
+    outputs in [1e-3, 1e-1], small uniform projections; with rng None they
+    are left uninitialized, for a model whose every weight is loaded next.
+    """
+
+    def __init__(self, channels: int, state_dim: int, rng: np.random.Generator | None,
+                 dtype=np.float32, use_skip: bool = False):
+        e, n = channels, state_dim
+        if rng is None:
+            a_log, dt_b = np.empty((e, n), dtype), np.empty(e, dtype)
+        else:
+            a_log = np.log(rng.uniform(1.0, 16.0, (e, n)))
+            target_dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), e))
+            dt_b = np.log(np.expm1(target_dt))  # inverse softplus
+        k = 1.0 / np.sqrt(e)
+        self.a_log = Tensor(a_log, requires_grad=True, dtype=dtype)
+        self.dt_w = _uniform(rng, (e, e), k, dtype)
+        self.dt_b = Tensor(dt_b, requires_grad=True, dtype=dtype)
+        self.b_w = _uniform(rng, (e, n), k, dtype)
+        self.c_w = _uniform(rng, (e, n), k, dtype)
+        self.skip_d = Tensor(np.ones(e), requires_grad=True, dtype=dtype) if use_skip else None
+
+    def decay(self) -> Tensor:
+        """a = -exp(a_log), (E, N), strictly negative."""
+        return T.neg(T.exp(self.a_log))
+
+
 def positional_encoding(length: int, channels: int, dtype) -> np.ndarray:
     """Sinusoidal table (length, channels): even channels sin, odd cos, both
     at rate pos / 10000^(even_index/channels). Position 0 is exactly {0, 1}."""
@@ -231,7 +263,7 @@ class MambaBlock(Module):
         self.norm = LayerNorm(channels, dtype=dtype)
         self.inp = Linear(channels, inner, rng, act="silu", dtype=dtype)
         self.conv = CausalConv1d(inner, rng, k=conv_kernel, dtype=dtype)
-        self.ssm = init_ssm_params(inner, state_dim, rng, dtype=dtype, use_skip=use_skip)
+        self.ssm = SsmParams(inner, state_dim, rng, dtype=dtype, use_skip=use_skip)
         self.gate = Linear(channels, inner, rng, act="silu", dtype=dtype)
         self.out = Linear(inner, channels, rng, dtype=dtype)
         self._chunk = chunk_len

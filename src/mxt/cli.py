@@ -57,16 +57,21 @@ def default_flat() -> dict:
 
 
 def parse_config_file(path: str) -> dict:
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 at byte {e.start}") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
+        key, value = line.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -144,6 +149,7 @@ def _echo_config(flat: dict) -> None:
 
 
 def cmd_train(args) -> int:
+    from .model import width_of
     from .train import (
         build_samples,
         flat_config,
@@ -170,7 +176,8 @@ def cmd_train(args) -> int:
         state = load_train_state(args.resume)
         if args.iters is not None:
             state.tcfg = dataclasses.replace(state.tcfg, iters=args.iters)
-        _echo_config(flat_config(state.model.config, state.tcfg, state.weights, state.width))
+        _echo_config(flat_config(state.model.config, state.tcfg, state.weights,
+                                 width_of(state.model.dtype)))
         print(f"resumed from {args.resume} at step {state.step}")
     else:
         flat = effective_config(args.config, os.environ, _collect_overrides(args))
@@ -179,7 +186,7 @@ def cmd_train(args) -> int:
         state = init_train_state(mcfg, tcfg, weights, width=width)
     samples = build_samples(state.tcfg)
     print(f"training on {len(samples)} samples, "
-          f"{state.model.param_count()} parameters, width={state.width}")
+          f"{state.model.param_count()} parameters, width={width_of(state.model.dtype)}")
     train_loop(state, samples, target_steps=state.tcfg.iters,
                checkpoint_path=args.out, log_fn=print)
     final = hole_l1(state, samples)
@@ -198,8 +205,7 @@ def cmd_infer(args) -> int:
     if mask.shape[1:] != img.shape[1:]:
         raise DimensionError(
             f"mask {mask.shape[1:]} does not match image {img.shape[1:]}")
-    dtype = model.embed.w.data.dtype
-    x = prepare_input(img, mask, dtype=dtype)
+    x = prepare_input(img, mask, dtype=model.dtype)
     out = tiled_inference(model, x, tile=args.tile, overlap=args.overlap)
     if not args.raw:
         out = composite(out, img.astype(np.float64), mask)
@@ -209,24 +215,19 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .data import synthetic_dataset
     from .metrics import evaluate_pairs
     from .model import load_model, prepare_input, tiled_inference
     from .train import TrainConfig, build_samples
 
     _require_positive(("--synthetic", args.synthetic), ("--image-size", args.image_size))
     model, _meta = load_model(args.model)
-    seed = _resolve_seed(args.seed)
-    if args.data_dir:
-        samples = build_samples(TrainConfig(data_dir=args.data_dir, seed=seed))
-    else:
-        samples = synthetic_dataset(args.synthetic, args.image_size,
-                                    args.image_size, seed=seed)
-    dtype = model.embed.w.data.dtype
+    samples = build_samples(TrainConfig(data_count=args.synthetic, image_size=args.image_size,
+                                        seed=_resolve_seed(args.seed),
+                                        data_dir=args.data_dir or ""))
 
     def pairs():
         for s in samples:
-            x = prepare_input(s.i_gt, s.mask, dtype=dtype)
+            x = prepare_input(s.i_gt, s.mask, dtype=model.dtype)
             out = tiled_inference(model, x, tile=args.tile, overlap=args.overlap)
             yield out, s.i_gt, s.mask, s.bucket
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .model import prepare_input
 from .tensor import ContractError, DimensionError
 
 
@@ -260,14 +261,6 @@ class ImageSample:
     mask: np.ndarray   # (1, H, W)
     bucket: str = ""
 
-    @property
-    def i_masked(self) -> np.ndarray:
-        return self.i_gt * (1.0 - self.mask)
-
-    @property
-    def i_in(self) -> np.ndarray:
-        return np.concatenate([self.i_masked, self.mask], axis=0)
-
 
 def synthetic_image(height: int, width: int, rng: np.random.Generator) -> np.ndarray:
     """Gradient background + a few rectangles and disks + a soft sinusoid."""
@@ -346,5 +339,5 @@ def batch_at(samples: list, batch_size: int, seed: int, step: int, dtype=np.floa
     idx = batch_indices(len(samples), batch_size, seed, step)
     gts = np.stack([samples[i].i_gt for i in idx]).astype(dtype)
     masks = np.stack([samples[i].mask for i in idx]).astype(dtype)
-    ins = np.stack([samples[i].i_in for i in idx]).astype(dtype)
+    ins = np.stack([prepare_input(samples[i].i_gt, samples[i].mask, dtype) for i in idx])
     return Batch(i_gt=gts, mask=masks, i_in=ins, indices=idx)

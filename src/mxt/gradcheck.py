@@ -148,8 +148,8 @@ def run_standard_check(name: str, h: float = 1e-5) -> dict:
         DepthwiseConv2d,
         Gdfn,
         MambaBlock,
-        Module,
         Srsa,
+        SsmParams,
     )
     from .losses import (
         FeatureExtractor,
@@ -161,7 +161,7 @@ def run_standard_check(name: str, h: float = 1e-5) -> dict:
         perceptual_loss,
         style_loss,
     )
-    from .ssm import init_ssm_params, scan_chunked
+    from .ssm import scan_chunked
 
     rng = np.random.default_rng(7)
     f64 = np.float64
@@ -193,15 +193,9 @@ def run_standard_check(name: str, h: float = 1e-5) -> dict:
         return check_module_gradients(
             Gdfn(4, rng, context_broadcast=True, dtype=f64), x4, h=h)
     if name == "ssm_scan":
-
-        class _Scan(Module):
-            def __init__(self):
-                self.ssm = init_ssm_params(4, 2, rng, dtype=f64)
-
-            def forward(self, t):
-                return scan_chunked(t, self.ssm, chunk_len=5)
-
-        return check_module_gradients(_Scan(), rng.standard_normal((1, 16, 4)), h=h)
+        return check_module_gradients(
+            SsmParams(4, 2, rng, dtype=f64), rng.standard_normal((1, 16, 4)), h=h,
+            forward=lambda m, t: scan_chunked(t, m, chunk_len=5))
     if name == "loss_l1":
         worst, errs = check_function(lambda a, b: l1_loss(a, b), [img, gt], h=h)
         return {"out": errs[0], "gt": errs[1], "worst": worst}

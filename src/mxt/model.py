@@ -112,7 +112,7 @@ class Stage(Module):
 
 class MxT(Module):
     """The U-Net. With rng None its weights are left uninitialized, for a
-    model whose every weight is loaded next (see restore_model)."""
+    model whose every weight is loaded next (see load_model)."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator | None,
                  dtype=np.float32):
@@ -135,6 +135,11 @@ class MxT(Module):
     @property
     def config(self) -> ModelConfig:
         return self._cfg
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The width every weight (and so every activation) is stored at."""
+        return self.embed.w.data.dtype
 
     def forward(self, x: Tensor) -> Tensor:
         cfg = self._cfg
@@ -215,7 +220,7 @@ def tiled_inference(model: MxT, i_in: np.ndarray, tile: int = 0, overlap: int = 
     if i_in.ndim != 3:
         raise DimensionError(f"tiled_inference expects (C, H, W), got {i_in.shape}")
     c, h, w = i_in.shape
-    dt = model.embed.w.data.dtype
+    dt = model.dtype
     div = 2 ** model.config.levels
 
     def run(batch: np.ndarray) -> np.ndarray:
@@ -318,50 +323,72 @@ def _decode_value(default, raw: str, key: str):
     return value
 
 
+def _state_tensors(parts: dict, loaded: dict | None = None) -> dict:
+    """Every array `parts` holds, keyed and ordered as a checkpoint stores
+    them. parts maps a key prefix to a Module, whose parameters are stored as
+    prefix.name, or to an optimizer, whose moments are stored as prefix.m.name
+    and prefix.v.name; a None part stores nothing. With `loaded`, each array
+    is swapped for loaded[key], as read, where that exists, and the returned
+    dict holds the arrays swapped out."""
+    loaded = loaded or {}
+    out = {}
+    for prefix, part in parts.items():
+        if isinstance(part, Module):
+            for name, p in part.named_parameters():
+                key = f"{prefix}.{name}"
+                out[key], p.data = p.data, loaded.get(key, p.data)
+        elif part is not None:
+            for name in part.params:
+                for kind, store in (("m", part.m), ("v", part.v)):
+                    key = f"{prefix}.{kind}.{name}"
+                    out[key], store[name] = store[name], loaded.get(key, store[name])
+    return out
+
+
+def _load_state(path: str, parts: dict, stored: dict) -> None:
+    """Fill freshly built, uninitialized parts with a checkpoint's arrays.
+    `stored` must hold exactly the names the parts save, each with the shape
+    and dtype of the array it replaces; otherwise SchemaError. The parts are
+    filled before the check, so a caller drops them when it fails."""
+    from .checkpoint import SchemaError
+
+    fresh = _state_tensors(parts, stored)
+    missing = sorted(set(fresh) - set(stored))
+    unused = sorted(set(stored) - set(fresh))
+    if missing or unused:
+        raise SchemaError(f"{path}: missing tensors {missing}, unused tensors {unused}")
+    for name, want in fresh.items():
+        got = stored[name]
+        if got.shape != want.shape or got.dtype != want.dtype:
+            raise SchemaError(f"{path}: {name} is {got.dtype} {got.shape}, "
+                              f"expected {want.dtype} {want.shape}")
+
+
+def _unloaded_model(path: str, meta: dict) -> MxT:
+    """The MxT a checkpoint's metadata describes, built without drawing
+    random numbers: its weights are left for _load_state to fill."""
+    from .checkpoint import SchemaError
+
+    if meta.get("width") not in WIDTHS:
+        raise SchemaError(f"{path}: missing or bad width {meta.get('width')!r}")
+    return MxT(decode_config(ModelConfig, meta, "model."), None, dtype=WIDTHS[meta["width"]])
+
+
 def save_model(path: str, model: MxT) -> None:
     from .checkpoint import save_checkpoint
 
     meta = encode_config(model.config, "model.")
-    meta["width"] = width_of(model.embed.w.data.dtype)
-    tensors = {f"model.{n}": p.data for n, p in model.named_parameters()}
-    save_checkpoint(path, meta, tensors)
-
-
-def restore_model(path: str):
-    """Read a checkpoint and rebuild its MxT without drawing random numbers:
-    the model is built uninitialized and every weight is then loaded. Returns
-    (model, meta, tensors); the caller restores the rest of the file's
-    tensors."""
-    from .checkpoint import SchemaError, load_checkpoint
-
-    meta, tensors = load_checkpoint(path)
-    if meta.get("width") not in WIDTHS:
-        raise SchemaError(f"{path}: missing or bad width {meta.get('width')!r}")
-    cfg = decode_config(ModelConfig, meta, "model.")
-    model = MxT(cfg, None, dtype=WIDTHS[meta["width"]])
-    load_weights(model, tensors, prefix="model.", path=path)
-    return model, meta, tensors
+    meta["width"] = width_of(model.dtype)
+    save_checkpoint(path, meta, _state_tensors({"model": model}))
 
 
 def load_model(path: str):
-    """Rebuild an MxT from a checkpoint; returns (model, meta)."""
-    model, meta, _ = restore_model(path)
+    """Rebuild an MxT from a model or training checkpoint, reading only its
+    model.* tensors; returns (model, meta)."""
+    from .checkpoint import load_checkpoint
+
+    meta, tensors = load_checkpoint(path)
+    model = _unloaded_model(path, meta)
+    _load_state(path, {"model": model},
+                {k: v for k, v in tensors.items() if k.startswith("model.")})
     return model, meta
-
-
-def load_weights(model: Module, tensors: dict, prefix: str = "model.", path: str = "?") -> None:
-    from .checkpoint import SchemaError
-
-    wanted = {prefix + n: p for n, p in model.named_parameters()}
-    stored = {k: v for k, v in tensors.items() if k.startswith(prefix)}
-    missing = sorted(set(wanted) - set(stored))
-    unknown = sorted(set(stored) - set(wanted))
-    if missing or unknown:
-        raise SchemaError(f"{path}: missing tensors {missing}, unknown tensors {unknown}")
-    for name, p in wanted.items():
-        arr = stored[name]
-        if tuple(arr.shape) != p.shape:
-            raise SchemaError(f"{path}: {name} has shape {arr.shape}, expected {p.shape}")
-        if arr.dtype != p.data.dtype:
-            raise SchemaError(f"{path}: {name} is {arr.dtype}, expected {p.data.dtype}")
-        p.data = np.ascontiguousarray(arr)

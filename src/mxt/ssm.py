@@ -50,12 +50,15 @@ loop). `scan_sequential` chains them into the reference selective scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .tensor import ContractError, DimensionError, NumericError, Tensor
+
+if TYPE_CHECKING:
+    from .blocks import SsmParams
 
 # |delta*a| below this uses the truncated-series form of the ZOH gain
 SERIES_BRANCH = 1e-8
@@ -316,70 +319,6 @@ def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
 # ---- selective parameterization ------------------------------------------------
 
 
-@dataclass
-class SsmParams:
-    """Learned weights of one selective scan over (B, L, E) sequences.
-
-    a_log: (E, N) log-magnitudes of the always-negative decay a = -exp(a_log)
-    dt_w, dt_b: (E, E), (E,) projection and bias behind softplus -> delta
-    b_w, c_w: (E, N) input projections to the per-step b_t / readout c_t
-    skip_d: optional (E,) direct feedthrough added as skip_d * x
-    """
-
-    a_log: Tensor
-    dt_w: Tensor
-    dt_b: Tensor
-    b_w: Tensor
-    c_w: Tensor
-    skip_d: Tensor | None = None
-
-    @property
-    def channels(self) -> int:
-        return self.a_log.shape[0]
-
-    @property
-    def state_dim(self) -> int:
-        return self.a_log.shape[1]
-
-    def decay(self) -> Tensor:
-        """a = -exp(a_log), (E, N), strictly negative."""
-        return T.neg(T.exp(self.a_log))
-
-    def tensors(self):
-        out = {"a_log": self.a_log, "dt_w": self.dt_w, "dt_b": self.dt_b,
-               "b_w": self.b_w, "c_w": self.c_w}
-        if self.skip_d is not None:
-            out["skip_d"] = self.skip_d
-        return out
-
-
-def init_ssm_params(channels: int, state_dim: int, rng: np.random.Generator | None,
-                    dtype=np.float32, use_skip: bool = False) -> SsmParams:
-    """Draw initial weights: a in [1, 16] pre-log, delta bias giving softplus
-    outputs in [1e-3, 1e-1], small uniform projections. With rng None the
-    weights are left uninitialized, for a model whose every weight is loaded
-    next."""
-    mk = lambda arr: Tensor(arr.astype(dtype, copy=False), requires_grad=True, dtype=dtype)
-    e, n = channels, state_dim
-    if rng is None:
-        p = SsmParams(*(mk(np.empty(shape, dtype)) for shape in ((e, n), (e, e), (e,), (e, n), (e, n))))
-    else:
-        a0 = np.log(rng.uniform(1.0, 16.0, (e, n)))
-        target_dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), e))
-        dt_b = np.log(np.expm1(target_dt))  # inverse softplus
-        k = 1.0 / np.sqrt(e)
-        p = SsmParams(
-            a_log=mk(a0),
-            dt_w=mk(rng.uniform(-k, k, (e, e))),
-            dt_b=mk(dt_b),
-            b_w=mk(rng.uniform(-k, k, (e, n))),
-            c_w=mk(rng.uniform(-k, k, (e, n))),
-        )
-    if use_skip:
-        p.skip_d = mk(np.ones(channels))
-    return p
-
-
 def selective_discrete(x: Tensor, params: SsmParams):
     """Input-dependent parameters for x of shape (B, L, E), in factored form.
 
@@ -388,8 +327,8 @@ def selective_discrete(x: Tensor, params: SsmParams):
     """
     if x.ndim != 3:
         raise DimensionError(f"selective scan expects (B, L, E), got {x.shape}")
-    if x.shape[2] != params.channels:
-        raise DimensionError(f"x has {x.shape[2]} channels, params expect {params.channels}")
+    if x.shape[2] != params.a_log.shape[0]:
+        raise DimensionError(f"x has {x.shape[2]} channels, params expect {params.a_log.shape[0]}")
     delta = T.linear(x, params.dt_w, params.dt_b, act="softplus")
     return delta, T.matmul(x, params.b_w), T.matmul(x, params.c_w)
 

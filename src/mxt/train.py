@@ -24,9 +24,9 @@ from .losses import (
     generator_loss,
     masked_l1,
 )
-from .model import (WIDTHS, ModelConfig, MxT, decode_config, encode_config, load_weights,
-                    restore_model, width_of)
-from .tensor import ContractError, NumericError, Tape, Tensor, no_grad
+from .model import (WIDTHS, ModelConfig, MxT, _load_state, _state_tensors, _unloaded_model,
+                    decode_config, encode_config, prepare_input, width_of)
+from .tensor import ContractError, DimensionError, NumericError, Tape, Tensor, no_grad
 
 # fixed stream ids so model/disc init never collide with batch shuffling
 _MODEL_STREAM = 1
@@ -110,28 +110,6 @@ class Adam(object):
             v += (1.0 - self.beta2) * (g * g)
             p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def moment_tensors(self, prefix: str) -> dict:
-        out = {}
-        for name in self.params:
-            out[f"{prefix}.m.{name}"] = self.m[name]
-            out[f"{prefix}.v.{name}"] = self.v[name]
-        return out
-
-    def load_moments(self, tensors: dict, prefix: str, path: str = "?"):
-        from .checkpoint import SchemaError
-
-        for kind, store in (("m", self.m), ("v", self.v)):
-            for name in self.params:
-                key = f"{prefix}.{kind}.{name}"
-                if key not in tensors:
-                    raise SchemaError(f"{path}: missing optimizer tensor {key}")
-                arr = tensors[key]
-                if arr.shape != store[name].shape or arr.dtype != store[name].dtype:
-                    raise SchemaError(
-                        f"{path}: optimizer tensor {key} has shape {arr.shape} "
-                        f"{arr.dtype}, expected {store[name].shape} {store[name].dtype}")
-                store[name] = np.ascontiguousarray(arr)
-
 
 @dataclass
 class TrainState:
@@ -145,12 +123,9 @@ class TrainState:
     step: int = 0
 
     @property
-    def width(self) -> str:
-        return width_of(self.dtype)
-
-    @property
-    def dtype(self):
-        return self.model.embed.w.data.dtype
+    def parts(self) -> dict:
+        """What a training checkpoint stores, by key prefix, in file order."""
+        return {"model": self.model, "opt_g": self.opt_g, "disc": self.disc, "opt_d": self.opt_d}
 
 
 def init_train_state(mcfg: ModelConfig, tcfg: TrainConfig,
@@ -166,14 +141,13 @@ def _assemble_state(model: MxT, tcfg: TrainConfig, weights: LossWeights,
     """Optimizers, extractor and (when adversarial) discriminator around a
     model; disc_rng None leaves the discriminator for a load to fill in. The
     extractor is never stored, so it is always drawn from its fixed seed."""
-    dtype = model.embed.w.data.dtype
     opt_g = Adam(model, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
     extractor = None
     if weights.style != 0 or weights.perceptual != 0:
-        extractor = FeatureExtractor(dtype=dtype)
+        extractor = FeatureExtractor(dtype=model.dtype)
     disc = opt_d = None
     if weights.adversarial != 0:
-        disc = PatchDiscriminator(disc_rng, dtype=dtype)
+        disc = PatchDiscriminator(disc_rng, dtype=model.dtype)
         opt_d = Adam(disc, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
     return TrainState(model=model, tcfg=tcfg, weights=weights, opt_g=opt_g,
                       extractor=extractor, disc=disc, opt_d=opt_d)
@@ -222,7 +196,7 @@ def train_step(state: TrainState, samples) -> dict:
     is touched, so a raised NumericError leaves the state at the last good
     step."""
     tc = state.tcfg
-    batch = batch_at(samples, tc.batch_size, tc.seed, state.step, dtype=state.dtype)
+    batch = batch_at(samples, tc.batch_size, tc.seed, state.step, dtype=state.model.dtype)
     x = Tensor(batch.i_in)
     gt = Tensor(batch.i_gt)
     state.model.zero_grad()
@@ -256,6 +230,9 @@ def train_loop(state: TrainState, samples, target_steps: int,
     """Run until state.step == target_steps. On a numeric abort, the last good
     state is written to checkpoint_path (if set) before re-raising."""
     tc = state.tcfg
+    sizes = sorted({"x".join(map(str, s.i_gt.shape[1:])) for s in samples})
+    if len(sizes) > 1:
+        raise DimensionError(f"training images must share one size, got {sizes[0]} and {sizes[1]}")
     parts: dict = {}
     while state.step < target_steps:
         try:
@@ -281,10 +258,11 @@ def train_loop(state: TrainState, samples, target_steps: int,
 def hole_l1(state: TrainState, samples) -> float:
     """Mean masked L1 over a full dataset pass (no gradients)."""
     vals = []
+    dtype = state.model.dtype
     with no_grad():
         for s in samples:
-            x = Tensor(s.i_in[None].astype(state.dtype))
-            gt = Tensor(s.i_gt[None].astype(state.dtype))
+            x = Tensor(prepare_input(s.i_gt, s.mask, dtype)[None])
+            gt = Tensor(s.i_gt[None].astype(dtype))
             out = state.model(x)
             vals.append(float(masked_l1(out, gt, s.mask[None]).data))
     return float(np.mean(vals))
@@ -296,48 +274,43 @@ def hole_l1(state: TrainState, samples) -> float:
 def save_train_state(path: str, state: TrainState) -> None:
     from .checkpoint import save_checkpoint
 
-    meta = flat_config(state.model.config, state.tcfg, state.weights, state.width)
+    meta = flat_config(state.model.config, state.tcfg, state.weights,
+                       width_of(state.model.dtype))
     meta["step"] = str(state.step)
     meta["opt_g.t"] = str(state.opt_g.t)
     if state.disc is not None:
         meta["opt_d.t"] = str(state.opt_d.t)
-    save_checkpoint(path, meta, _state_tensors(state))
+    save_checkpoint(path, meta, _state_tensors(state.parts))
 
 
-def _state_tensors(state: TrainState) -> dict:
-    """Every tensor a training checkpoint stores, keyed and ordered as in the file."""
-    tensors = {f"model.{n}": p.data for n, p in state.model.named_parameters()}
-    tensors.update(state.opt_g.moment_tensors("opt_g"))
-    if state.disc is not None:
-        tensors.update({f"disc.{n}": p.data
-                        for n, p in state.disc.named_parameters()})
-        tensors.update(state.opt_d.moment_tensors("opt_d"))
-    return tensors
+def _meta_count(meta: dict, key: str, path: str) -> int:
+    from .checkpoint import SchemaError
+
+    if key not in meta:
+        raise SchemaError(f"{path}: no {key} in a training checkpoint")
+    try:
+        return int(meta[key])
+    except ValueError:
+        raise SchemaError(f"{path}: {key} must be an integer, got {meta[key]!r}") from None
 
 
 def load_train_state(path: str) -> TrainState:
     """Rebuild a training state from a checkpoint. Nothing the file stores is
-    drawn: the model comes from restore_model and the discriminator is built
-    uninitialized and loaded too. Only the frozen extractor, which is never
-    stored, is drawn from its fixed seed. A stored tensor the state has no
-    place for (say, a discriminator when the adversarial weight is 0) is a
-    SchemaError, as it is for load_model."""
-    from .checkpoint import SchemaError
+    drawn: the model and discriminator are built uninitialized and loaded.
+    Only the frozen extractor, which is never stored, is drawn from its fixed
+    seed. The file must store exactly the tensors the state has a place for
+    (no discriminator when the adversarial weight is 0), as for load_model."""
+    from .checkpoint import SchemaError, load_checkpoint
 
-    model, meta, tensors = restore_model(path)
+    meta, tensors = load_checkpoint(path)
+    if "step" not in meta:
+        raise SchemaError(f"{path}: not a training checkpoint (no step or optimizer state)")
     tcfg = decode_config(TrainConfig, meta, "train.")
     weights = decode_config(LossWeights, meta, "loss.")
-    state = _assemble_state(model, tcfg, weights, disc_rng=None)
-    unused = sorted(set(tensors) - set(_state_tensors(state)))
-    if unused:
-        raise SchemaError(f"{path}: unused tensors {unused}")
-    state.step = int(meta["step"])
-    state.opt_g.load_moments(tensors, "opt_g", path)
-    state.opt_g.t = int(meta["opt_g.t"])
-    if state.disc is not None:
-        if "opt_d.t" not in meta:
-            raise SchemaError(f"{path}: adversarial config but no discriminator state")
-        load_weights(state.disc, tensors, prefix="disc.", path=path)
-        state.opt_d.load_moments(tensors, "opt_d", path)
-        state.opt_d.t = int(meta["opt_d.t"])
+    state = _assemble_state(_unloaded_model(path, meta), tcfg, weights, disc_rng=None)
+    _load_state(path, state.parts, tensors)
+    state.step = _meta_count(meta, "step", path)
+    state.opt_g.t = _meta_count(meta, "opt_g.t", path)
+    if state.opt_d is not None:
+        state.opt_d.t = _meta_count(meta, "opt_d.t", path)
     return state

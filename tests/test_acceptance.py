@@ -29,7 +29,8 @@ def _report(tag: str, ok: bool, detail: str):
 def test_01_chunked_scan_matches_sequential():
     """50 random configs, L<=512, N<=16, chunk in {1,3,16,64,L}, float64,
     worst |chunked - sequential| < 1e-10, under 60 s."""
-    from mxt.ssm import init_ssm_params, scan_chunked, scan_sequential
+    from mxt.blocks import SsmParams
+    from mxt.ssm import scan_chunked, scan_sequential
 
     rng = np.random.default_rng(11)
     chunks = (1, 3, 16, 64, None)  # None -> chunk_len = L
@@ -42,7 +43,7 @@ def test_01_chunked_scan_matches_sequential():
             E = int(rng.integers(1, 7))
             B = int(rng.integers(1, 3))
             chunk = chunks[i % len(chunks)] or L
-            params = init_ssm_params(E, N, rng, dtype=np.float64)
+            params = SsmParams(E, N, rng, dtype=np.float64)
             x = Tensor(rng.standard_normal((B, L, E)), dtype=np.float64)
             y_seq = scan_sequential(x, params).data
             y_chk = scan_chunked(x, params, chunk_len=chunk).data

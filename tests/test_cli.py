@@ -13,6 +13,7 @@ from mxt.cli import (
     scan_time_ratio,
 )
 from mxt.data import read_ppm, write_ppm, write_pgm
+from mxt.model import ModelConfig, MxT, save_model
 from mxt.tensor import ContractError
 
 TINY = [
@@ -382,3 +383,48 @@ def test_mask_gen_rejects_sizes_below_one(tmp_path, capsys, flag, value):
     assert main(["mask-gen", "--out", str(out_dir), flag, value]) == 2
     assert flag in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_resume_from_a_model_checkpoint_exits_2(tmp_path, capsys):
+    model_ckpt = str(tmp_path / "model.ckpt")
+    save_model(model_ckpt, MxT(ModelConfig(base_channels=4, hm_counts=(1,) * 7),
+                               np.random.default_rng(0)))
+    rc = main(["train", "--out", str(tmp_path / "x.ckpt"), "--resume", model_ckpt])
+    assert rc == 2
+    assert "not a training checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_config_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"train.seed=1\ntrain.data_dir=caf\xe9\n")
+    rc = main(["train", "--out", str(tmp_path / "x.ckpt"), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and "byte 31" in err
+
+
+def _images_of_two_sizes(directory):
+    directory.mkdir()
+    rng = np.random.default_rng(4)
+    for name, side in (("a.ppm", 16), ("b.ppm", 24)):
+        write_ppm(str(directory / name), rng.random((3, side, side)))
+    return str(directory)
+
+
+def test_train_on_images_of_two_sizes_exits_2_before_any_step(tmp_path, capsys):
+    data = _images_of_two_sizes(tmp_path / "data")
+    rc = main(["train", "--out", str(tmp_path / "x.ckpt"), "--iters", "1",
+               "--data-dir", data, *TINY])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "16x16" in err and "24x24" in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_eval_scores_images_of_two_sizes(tiny_ckpt, tmp_path, capsys):
+    data = _images_of_two_sizes(tmp_path / "data")
+    capsys.readouterr()
+    assert main(["eval", "--model", tiny_ckpt, "--data-dir", data, "--per-image"]) == 0
+    out = capsys.readouterr().out
+    assert "image=0" in out and "image=1" in out

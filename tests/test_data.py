@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mxt.data as D
+from mxt.model import prepare_input
 from mxt.tensor import ContractError
 
 
@@ -136,8 +137,9 @@ def test_synthetic_dataset_shapes_and_determinism():
         assert s.bucket == D.BUCKET_CYCLE[i % 3]
         lo, hi = D.BUCKETS[s.bucket]
         assert lo < s.mask.mean() <= hi
-        np.testing.assert_array_equal(s.i_in[:3], s.i_gt * (1 - s.mask))
-        np.testing.assert_array_equal(s.i_in[3:], s.mask)
+        x = prepare_input(s.i_gt, s.mask, dtype=np.float64)
+        np.testing.assert_array_equal(x[:3], s.i_gt * (1 - s.mask))
+        np.testing.assert_array_equal(x[3:], s.mask)
     ds2 = D.synthetic_dataset(6, 32, 32, seed=5)
     for a, b in zip(ds, ds2):
         np.testing.assert_array_equal(a.i_gt, b.i_gt)

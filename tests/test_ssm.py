@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mxt.ssm as S
+from mxt.blocks import SsmParams
 import mxt.tensor as T
 from mxt.gradcheck import check_function
 from mxt.tensor import ContractError, DimensionError, NumericError, Tensor
@@ -226,7 +227,7 @@ def test_scan_recurrence_gradients_vs_fd():
 
 def test_scan_float32_bit_equal_to_reference_at_paper_level0():
     # paper layout, level 0 of a 64x64 image: E = 2*16 channels, N = 8, L = 64^2
-    p = S.init_ssm_params(32, 8, rng(30), dtype=np.float32)
+    p = SsmParams(32, 8, rng(30), dtype=np.float32)
     x = Tensor(rng(31).standard_normal((1, 64 * 64, 32)).astype(np.float32))
     with T.no_grad():
         delta, bt, ct = S.selective_discrete(x, p)
@@ -246,7 +247,7 @@ def unfused_scan_f32(x, p, recurrence=lambda a, b: recurrence_chunked(a, b, 64))
     (recurrence_chunked by default) and a readout summed over the trailing N
     axis."""
     bsz, L, E = x.shape
-    N = p.state_dim
+    N = p.a_log.shape[1]
     with T.no_grad():
         delta, bt, ct = S.selective_discrete(x, p)
         a_bar, b_bar = S.discretize_zoh(T.reshape(p.decay(), (1, 1, E, N)),
@@ -260,7 +261,7 @@ def unfused_scan_f32(x, p, recurrence=lambda a, b: recurrence_chunked(a, b, 64))
 def test_scan_float32_bit_equal_to_reference_at_every_paper_level(E, L):
     # levels 1-3 of the paper layout on a 64x64 image (level 0 is the test
     # above), plus a ragged last chunk
-    p = S.init_ssm_params(E, 8, rng(40 + E), dtype=np.float32)
+    p = SsmParams(E, 8, rng(40 + E), dtype=np.float32)
     x = Tensor(rng(41).standard_normal((1, L, E)).astype(np.float32))
     with T.no_grad():
         got = S.scan_chunked(x, p, chunk_len=64).data
@@ -275,7 +276,7 @@ def test_scan_float32_bit_equal_to_reference_at_every_paper_level(E, L):
 def test_scan_float32_bit_equal_to_sequential_chain(E, L, B, chunk_len):
     # the fused op steps every chunk in the sequential update's arithmetic,
     # so chunk_len sets only the block size, never the rounding
-    p = S.init_ssm_params(E, 8, rng(50 + E), dtype=np.float32)
+    p = SsmParams(E, 8, rng(50 + E), dtype=np.float32)
     x = Tensor(rng(51).standard_normal((B, L, E)).astype(np.float32))
     with T.no_grad():
         got = S.scan_chunked(x, p, chunk_len=chunk_len).data
@@ -397,7 +398,7 @@ def test_scan_backward_uses_forward_time_values():
 
 
 def make_params(E=3, N=2, seed=0, dtype=np.float64, use_skip=False):
-    return S.init_ssm_params(E, N, rng(seed), dtype=dtype, use_skip=use_skip)
+    return SsmParams(E, N, rng(seed), dtype=dtype, use_skip=use_skip)
 
 
 def test_scan_chunked_equals_sequential_selective():
@@ -474,11 +475,13 @@ def test_full_selective_scan_gradients():
 
     names = ["a_log", "dt_w", "dt_b", "b_w", "c_w"]
 
-    def f(xv, a_log, dt_w, dt_b, b_w, c_w):
-        q = S.SsmParams(a_log=a_log, dt_w=dt_w, dt_b=dt_b, b_w=b_w, c_w=c_w)
+    def f(xv, *weights):
+        q = SsmParams(E, N, None, dtype=np.float64)
+        for name, t in zip(names, weights):
+            setattr(q, name, t)
         return T.sum_(S.scan_chunked(xv, q, chunk_len=3) * w)
 
-    arrays = [x0] + [p.tensors()[n].data for n in names]
+    arrays = [x0] + [getattr(p, n).data for n in names]
     worst, errs = check_function(f, arrays)
     assert worst < 1e-6, f"selective scan grad mismatch {worst:.3e} ({errs})"
 
@@ -487,6 +490,8 @@ def test_skip_term_adds_direct_path():
     p = make_params(seed=9, use_skip=True)
     x = Tensor(rng(22).standard_normal((1, 8, 3)), dtype=np.float64)
     y_skip = S.scan_chunked(x, p).data
-    p2 = S.SsmParams(p.a_log, p.dt_w, p.dt_b, p.b_w, p.c_w, skip_d=None)
+    p2 = SsmParams(3, 2, None, dtype=np.float64)
+    for name in ("a_log", "dt_w", "dt_b", "b_w", "c_w"):
+        setattr(p2, name, getattr(p, name))
     y_none = S.scan_chunked(x, p2).data
     np.testing.assert_allclose(y_skip, y_none + p.skip_d.data * x.data, rtol=1e-12)

@@ -11,8 +11,8 @@ from mxt.blocks import Module
 from mxt.checkpoint import SchemaError, load_checkpoint, save_checkpoint
 from mxt.data import synthetic_dataset
 from mxt.losses import LossWeights
-from mxt.model import ModelConfig, MxT, save_model
-from mxt.tensor import NumericError, Tape, Tensor
+from mxt.model import WIDTHS, ModelConfig, MxT, save_model
+from mxt.tensor import DimensionError, NumericError, Tape, Tensor
 from mxt.train import (
     Adam,
     TrainConfig,
@@ -115,10 +115,13 @@ def test_perceptual_terms_build_extractor():
 
 def _all_tensors(state: TrainState) -> dict:
     out = {f"model.{n}": p.data for n, p in state.model.named_parameters()}
-    out.update(state.opt_g.moment_tensors("opt_g"))
     if state.disc is not None:
         out.update({f"disc.{n}": p.data for n, p in state.disc.named_parameters()})
-        out.update(state.opt_d.moment_tensors("opt_d"))
+    for tag in ("opt_g", "opt_d"):
+        opt = getattr(state, tag)
+        if opt is not None:
+            out.update({f"{tag}.m.{n}": a for n, a in opt.m.items()})
+            out.update({f"{tag}.v.{n}": a for n, a in opt.v.items()})
     return out
 
 
@@ -141,7 +144,7 @@ def test_resume_is_bit_exact(tmp_path, width):
     path = str(tmp_path / f"state-{width}.ckpt")
     save_train_state(path, broken)
     resumed = load_train_state(path)
-    assert resumed.step == 3 and resumed.width == width
+    assert resumed.step == 3 and resumed.model.dtype == WIDTHS[width]
     for _ in range(3):
         train_step(resumed, samples)
 
@@ -297,3 +300,59 @@ def test_checkpoint_digests_are_pinned(tmp_path):
     save_train_state(str(tmp_path / "state.ckpt"), state)
     assert digest(tmp_path / "state.ckpt") == (
         "6b0c9cdddc7bcd9652cda03e0935e6e31607fd2067c24af22849945d9a45a434")
+
+
+def _adversarial_checkpoint(tmp_path) -> str:
+    samples = synthetic_dataset(2, 16, 16, seed=6)
+    weights = LossWeights(l1=1.0, style=0.0, perceptual=0.0, adversarial=0.001)
+    state = init_train_state(tiny_cfg(), TrainConfig(batch_size=2, seed=3), weights)
+    train_step(state, samples)
+    p = str(tmp_path / "state.ckpt")
+    save_train_state(p, state)
+    return p
+
+
+@pytest.mark.parametrize("prefix", ["opt_g.m.", "opt_d.v."])
+@pytest.mark.parametrize("damage", ["missing", "shape", "dtype"])
+def test_load_train_state_checks_every_optimizer_moment(tmp_path, prefix, damage):
+    p = _adversarial_checkpoint(tmp_path)
+    meta, tensors = load_checkpoint(p)
+    key = next(k for k in tensors if k.startswith(prefix))
+    if damage == "missing":
+        del tensors[key]
+    elif damage == "shape":
+        tensors[key] = np.zeros((2, 2), dtype=tensors[key].dtype)
+    else:
+        tensors[key] = tensors[key].astype(np.float64)
+    save_checkpoint(p, meta, tensors)
+    with pytest.raises(SchemaError, match=key.replace(".", r"\.")):
+        load_train_state(p)
+
+
+@pytest.mark.parametrize("key,value", [("opt_d.t", None), ("step", "3.5"), ("step", ""),
+                                       ("opt_g.t", "x"), ("opt_d.t", "1e3")])
+def test_load_train_state_needs_integer_counters(tmp_path, key, value):
+    p = _adversarial_checkpoint(tmp_path)
+    meta, tensors = load_checkpoint(p)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    save_checkpoint(p, meta, tensors)
+    with pytest.raises(SchemaError, match=key):
+        load_train_state(p)
+
+
+def test_load_train_state_rejects_a_model_checkpoint(tmp_path):
+    p = str(tmp_path / "model.ckpt")
+    save_model(p, MxT(tiny_cfg(), np.random.default_rng(0)))
+    with pytest.raises(SchemaError, match="not a training checkpoint"):
+        load_train_state(p)
+
+
+def test_train_loop_rejects_images_of_two_sizes_before_any_step():
+    samples = synthetic_dataset(2, 16, 16, seed=8) + synthetic_dataset(1, 24, 24, seed=8)
+    state = init_train_state(tiny_cfg(), TrainConfig(batch_size=2, seed=5), l1_only())
+    with pytest.raises(DimensionError, match="16x16 and 24x24"):
+        train_loop(state, samples, target_steps=2)
+    assert state.step == 0 and state.opt_g.t == 0
