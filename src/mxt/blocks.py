@@ -14,12 +14,16 @@ positional table from one shared cache, one constant table per (L, C, dtype).
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
 from .ssm import scan_chunked
 from .tensor import DimensionError, Tensor
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 
 class Module:
@@ -142,7 +146,7 @@ class DepthwiseConv2d(Module):
 class CausalConv1d(Module):
     """Depthwise causal convolution over (B, L, C): position t sees t-k+1..t."""
 
-    def __init__(self, channels: int, rng: np.random.Generator, k: int = 4, dtype=np.float32):
+    def __init__(self, channels: int, rng: np.random.Generator, k: int, dtype=np.float32):
         kk = 1.0 / np.sqrt(k)
         self.w = _uniform(rng, (k, channels), kk, dtype)
         self.b = _uniform(rng, (channels,), kk, dtype)
@@ -165,7 +169,7 @@ class SsmParams(Module):
     """
 
     def __init__(self, channels: int, state_dim: int, rng: np.random.Generator | None,
-                 dtype=np.float32, use_skip: bool = False):
+                 use_skip: bool, dtype=np.float32):
         e, n = channels, state_dim
         if rng is None:
             a_log, dt_b = np.empty((e, n), dtype), np.empty(e, dtype)
@@ -218,17 +222,17 @@ class Srsa(Module):
         out = LE(V) + softmax(Q K'^T [* 1/sqrt(d)]) V'
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, pooled_spatial: int = 8,
-                 heads: int = 1, scale_qk: bool = False, dtype=np.float32):
-        if channels % heads:
-            raise DimensionError(f"channels {channels} not divisible by heads {heads}")
+    def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator,
+                 dtype=np.float32):
+        if channels % cfg.heads:
+            raise DimensionError(f"channels {channels} not divisible by heads {cfg.heads}")
         self.norm = ChannelLayerNorm(channels, dtype=dtype)
         self.qkv = Conv2d(channels, 3 * channels, 1, rng, dtype=dtype)
         self.qkv_dw = DepthwiseConv2d(3 * channels, rng, dtype=dtype)
         self.local = DepthwiseConv2d(channels, rng, dtype=dtype)
-        self._pooled = pooled_spatial
-        self._heads = heads
-        self._scale = 1.0 / np.sqrt(channels // heads) if scale_qk else None
+        self._pooled = cfg.pooled_spatial
+        self._heads = cfg.heads
+        self._scale = 1.0 / np.sqrt(channels // cfg.heads) if cfg.scale_qk else None
 
     def _qkv(self, x: Tensor) -> Tensor:
         return self.qkv_dw(self.qkv(self.norm(x)))              # (B, 3C, H, W)
@@ -255,32 +259,28 @@ class MambaBlock(Module):
     goes through the output projection and back to (B, C, H, W).
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, state_dim: int = 8,
-                 expand: int = 2, conv_kernel: int = 4, chunk_len: int = 64,
-                 use_pe: bool = True, silu_after_conv: bool = False,
-                 use_skip: bool = False, dtype=np.float32):
-        inner = expand * channels
+    def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator,
+                 dtype=np.float32):
+        inner = cfg.expand * channels
         self.norm = LayerNorm(channels, dtype=dtype)
         self.inp = Linear(channels, inner, rng, act="silu", dtype=dtype)
-        self.conv = CausalConv1d(inner, rng, k=conv_kernel, dtype=dtype)
-        self.ssm = SsmParams(inner, state_dim, rng, dtype=dtype, use_skip=use_skip)
+        self.conv = CausalConv1d(inner, rng, cfg.conv_kernel, dtype=dtype)
+        self.ssm = SsmParams(inner, cfg.state_dim, rng, cfg.use_skip_d, dtype=dtype)
         self.gate = Linear(channels, inner, rng, act="silu", dtype=dtype)
         self.out = Linear(inner, channels, rng, dtype=dtype)
-        self._chunk = chunk_len
-        self._use_pe = use_pe
-        self._silu_after_conv = silu_after_conv
+        self._cfg = cfg
 
     def forward(self, x: Tensor) -> Tensor:
         bsz, c, h, w = x.shape
         L = h * w
         seq = T.transpose(T.reshape(x, (bsz, c, L)), (0, 2, 1))   # (B, L, C)
-        if self._use_pe:
+        if self._cfg.use_pe:
             seq = seq + _positional_table(L, c, seq.dtype)
         seq = self.norm(seq)
         body = self.conv(self.inp(seq))
-        if self._silu_after_conv:
+        if self._cfg.silu_after_conv:
             body = T.silu(body)
-        body = scan_chunked(body, self.ssm, chunk_len=self._chunk)
+        body = scan_chunked(body, self.ssm, self._cfg.scan_chunk)
         y = self.out(self.gate(seq) * body)                       # (B, L, C)
         return T.reshape(T.transpose(y, (0, 2, 1)), (bsz, c, h, w))
 
@@ -289,19 +289,19 @@ class Gdfn(Module):
     """Gated depthwise feed-forward: pointwise expand to two lanes, depthwise
     3x3, gelu-gate one lane by the other, pointwise project back.
 
-    With context_broadcast on (the CBFN variant), the per-sample channel mean
-    of the result is added back everywhere, handing every pixel the global
+    With ``use_cbfn`` on (the CBFN variant), the per-sample channel mean of
+    the result is added back everywhere, handing every pixel the global
     context at zero parameter cost.
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator, expansion: float = 2.66,
-                 context_broadcast: bool = False, dtype=np.float32):
-        hidden = int(round(expansion * channels))
+    def __init__(self, channels: int, cfg: ModelConfig, rng: np.random.Generator,
+                 dtype=np.float32):
+        hidden = int(round(cfg.gdfn_expansion * channels))
         self.norm = ChannelLayerNorm(channels, dtype=dtype)
         self.expand = Conv2d(channels, 2 * hidden, 1, rng, dtype=dtype)
         self.dw = DepthwiseConv2d(2 * hidden, rng, dtype=dtype)
         self.project = Conv2d(hidden, channels, 1, rng, dtype=dtype)
-        self._broadcast = context_broadcast
+        self._broadcast = cfg.use_cbfn
 
     def forward(self, x: Tensor) -> Tensor:
         y = self.project(T.gelu_gate(self.dw(self.expand(self.norm(x)))))

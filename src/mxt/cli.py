@@ -98,13 +98,14 @@ def effective_config(config_path: str | None, env: dict, overrides: dict) -> dic
 
 
 def _env_seed(env: dict) -> str | None:
-    """MXT_SEED as set in env, checked to be an integer; None when unset."""
+    """MXT_SEED as set in env, checked to be an integer >= 0; None when unset."""
     raw = env.get("MXT_SEED")
     if raw is not None:
         try:
-            int(raw)
+            seed = int(raw)
         except ValueError:
-            raise ContractError(f"MXT_SEED must be an integer, got {raw!r}")
+            raise ContractError(f"MXT_SEED must be an integer, got {raw!r}") from None
+        _require_at_least(0, ("MXT_SEED", seed))
     return raw
 
 
@@ -159,10 +160,7 @@ def cmd_train(args) -> int:
         train_loop,
     )
 
-    # the checkpoint is written only after the steps; a path it cannot take
-    # fails here, before them
-    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        raise ContractError(f"--out {args.out} is not a file path in an existing directory")
+    _require_file_path(args.out)
     if args.resume:
         # a resumed run takes its config from the checkpoint; only the step
         # target (--iters) and the output path may change
@@ -199,6 +197,10 @@ def cmd_infer(args) -> int:
     from .data import read_image, read_pgm, write_image
     from .model import composite, load_model, prepare_input, tiled_inference
 
+    _require_file_path(args.out)
+    ext = os.path.splitext(args.out)[1].lower()
+    if ext not in (".ppm", ".pgm", ".png"):
+        raise ContractError(f"--out {args.out}: unsupported image extension {ext!r} (ppm/pgm/png)")
     model, _meta = load_model(args.model)
     img = read_image(args.image)
     mask = read_pgm(args.mask)
@@ -219,11 +221,11 @@ def cmd_eval(args) -> int:
     from .model import load_model, prepare_input, tiled_inference
     from .train import TrainConfig, build_samples
 
-    _require_positive(("--synthetic", args.synthetic), ("--image-size", args.image_size))
+    _require_at_least(1, ("--synthetic", args.synthetic), ("--image-size", args.image_size))
+    seed = _resolve_seed(args.seed)
     model, _meta = load_model(args.model)
     samples = build_samples(TrainConfig(data_count=args.synthetic, image_size=args.image_size,
-                                        seed=_resolve_seed(args.seed),
-                                        data_dir=args.data_dir or ""))
+                                        seed=seed, data_dir=args.data_dir or ""))
 
     def pairs():
         for s in samples:
@@ -295,8 +297,9 @@ def scan_time_ratio(length: int, channels: int = 8, state_dim: int = 8,
 
 
 def cmd_scan_bench(args) -> int:
-    _require_positive(("--length", args.length), ("--channels", args.channels),
-                      ("--state-dim", args.state_dim))
+    _require_at_least(1, ("--length", args.length), ("--channels", args.channels),
+                         ("--state-dim", args.state_dim))
+    _require_at_least(0, ("--seed", args.seed or 0))
     t1, t2, ratio = scan_time_ratio(args.length, args.channels, args.state_dim,
                                     args.repeats, args.seed or 0)
     print(f"L={args.length} s={t1:.6f}")
@@ -308,13 +311,13 @@ def cmd_scan_bench(args) -> int:
 def cmd_mask_gen(args) -> int:
     from .data import BUCKETS, MaskSpec, generate_irregular_mask, write_pgm
 
-    _require_positive(("--size", args.size), ("--count", args.count))
+    _require_at_least(1, ("--size", args.size), ("--count", args.count))
+    seed = _resolve_seed(args.seed)
     buckets = sorted(BUCKETS) if args.bucket == "all" else [args.bucket]
     for b in buckets:
         if b not in BUCKETS:
             raise ContractError(f"unknown bucket {b!r}; have {sorted(BUCKETS)}")
     os.makedirs(args.out, exist_ok=True)
-    seed = _resolve_seed(args.seed)
     manifest = []
     fallbacks = 0
     for bucket in buckets:
@@ -332,16 +335,23 @@ def cmd_mask_gen(args) -> int:
     return 0
 
 
-def _require_positive(*flags) -> None:
-    """Reject any (flag, value) pair whose value is below 1."""
+def _require_at_least(low: int, *flags) -> None:
+    """Reject any (flag, value) pair whose value is below low."""
     for flag, value in flags:
-        if value < 1:
-            raise ContractError(f"{flag} must be >= 1, got {value}")
+        if value < low:
+            raise ContractError(f"{flag} must be >= {low}, got {value}")
+
+
+def _require_file_path(out: str) -> None:
+    """--out, written after all the work, must name a file in an existing directory."""
+    if os.path.isdir(out) or not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ContractError(f"--out {out} is not a file path in an existing directory")
 
 
 def _resolve_seed(flag_value) -> int:
-    """Explicit flag beats MXT_SEED beats 0."""
+    """Explicit flag beats MXT_SEED beats 0; either must be >= 0."""
     if flag_value is not None:
+        _require_at_least(0, ("--seed", flag_value))
         return flag_value
     seed = _env_seed(os.environ)
     return 0 if seed is None else int(seed)

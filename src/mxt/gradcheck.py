@@ -161,6 +161,7 @@ def run_standard_check(name: str, h: float = 1e-5) -> dict:
         perceptual_loss,
         style_loss,
     )
+    from .model import ModelConfig
     from .ssm import scan_chunked
 
     rng = np.random.default_rng(7)
@@ -178,24 +179,24 @@ def run_standard_check(name: str, h: float = 1e-5) -> dict:
     if name == "depthwise_conv2d":
         return check_module_gradients(DepthwiseConv2d(4, rng, dtype=f64), x4, h=h)
     if name == "causal_conv1d":
-        return check_module_gradients(CausalConv1d(4, rng, k=4, dtype=f64),
+        return check_module_gradients(CausalConv1d(4, rng, 4, dtype=f64),
                                       rng.standard_normal((1, 6, 4)), h=h)
     if name == "srsa":
-        mod = Srsa(4, rng, pooled_spatial=2, heads=2, dtype=f64)
+        mod = Srsa(4, ModelConfig(pooled_spatial=2, heads=2), rng, dtype=f64)
         return check_module_gradients(mod, x4, h=h)
     if name == "mamba_block":
-        mod = MambaBlock(4, rng, state_dim=2, conv_kernel=4, chunk_len=5, dtype=f64)
+        mod = MambaBlock(4, ModelConfig(state_dim=2, scan_chunk=5), rng, dtype=f64)
         return check_module_gradients(mod, x4, h=h)
     if name == "gdfn":
         return check_module_gradients(
-            Gdfn(4, rng, context_broadcast=False, dtype=f64), x4, h=h)
+            Gdfn(4, ModelConfig(use_cbfn=False), rng, dtype=f64), x4, h=h)
     if name == "cbfn":
         return check_module_gradients(
-            Gdfn(4, rng, context_broadcast=True, dtype=f64), x4, h=h)
+            Gdfn(4, ModelConfig(), rng, dtype=f64), x4, h=h)
     if name == "ssm_scan":
         return check_module_gradients(
-            SsmParams(4, 2, rng, dtype=f64), rng.standard_normal((1, 16, 4)), h=h,
-            forward=lambda m, t: scan_chunked(t, m, chunk_len=5))
+            SsmParams(4, 2, rng, False, dtype=f64), rng.standard_normal((1, 16, 4)), h=h,
+            forward=lambda m, t: scan_chunked(t, m, 5))
     if name == "loss_l1":
         worst, errs = check_function(lambda a, b: l1_loss(a, b), [img, gt], h=h)
         return {"out": errs[0], "gt": errs[1], "worst": worst}

@@ -18,6 +18,7 @@ from .blocks import Conv2d, Module
 from .tensor import ContractError, Tensor
 
 EXTRACTOR_SEED = 314159  # the frozen feature pyramid is this seed, always
+EXTRACTOR_WIDTHS = (16, 32, 64, 128)
 
 
 @dataclass
@@ -35,14 +36,14 @@ class LossWeights:
 
 
 class FeatureExtractor(Module):
-    """Four stride-2 conv+relu stages over an RGB image, drawn from
-    ``EXTRACTOR_SEED``; forward returns all four feature maps."""
+    """Stride-2 conv+relu stages of ``EXTRACTOR_WIDTHS`` over an RGB image,
+    drawn from ``EXTRACTOR_SEED``; forward returns all four feature maps."""
 
-    def __init__(self, widths=(16, 32, 64, 128), dtype=np.float32):
+    def __init__(self, dtype=np.float32):
         rng = np.random.default_rng(EXTRACTOR_SEED)
         self.stages = []
         cin = 3
-        for cout in widths:
+        for cout in EXTRACTOR_WIDTHS:
             self.stages.append(Conv2d(cin, cout, 3, rng, stride=2, pad=1, dtype=dtype))
             cin = cout
         self.set_requires_grad(False)
@@ -115,7 +116,7 @@ def perceptual_loss(feats_out: list, feats_gt: list) -> Tensor:
     return total / len(terms)
 
 
-def adversarial_g_from_logits(fake_logits: Tensor, mode: str = "nonsat") -> Tensor:
+def adversarial_g_from_logits(fake_logits: Tensor, mode: str) -> Tensor:
     if mode == "nonsat":
         return T.mean(T.softplus(T.neg(fake_logits)))
     if mode == "hinge":
@@ -123,8 +124,7 @@ def adversarial_g_from_logits(fake_logits: Tensor, mode: str = "nonsat") -> Tens
     raise ContractError(f"unknown adversarial mode {mode!r}")
 
 
-def adversarial_d_from_logits(real_logits: Tensor, fake_logits: Tensor,
-                              mode: str = "nonsat") -> Tensor:
+def adversarial_d_from_logits(real_logits: Tensor, fake_logits: Tensor, mode: str) -> Tensor:
     if mode == "nonsat":
         return T.mean(T.softplus(T.neg(real_logits))) + T.mean(T.softplus(fake_logits))
     if mode == "hinge":
@@ -141,8 +141,7 @@ def _composite_t(out: Tensor, gt: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def generator_loss(out: Tensor, gt: Tensor, mask: np.ndarray, weights: LossWeights,
-                   extractor: FeatureExtractor | None = None,
-                   disc: PatchDiscriminator | None = None):
+                   extractor: FeatureExtractor | None, disc: PatchDiscriminator | None):
     """Weighted sum of the enabled terms; returns (total, {name: float}).
 
     Terms with weight 0 are skipped outright (no extractor/discriminator
@@ -181,6 +180,6 @@ def generator_loss(out: Tensor, gt: Tensor, mask: np.ndarray, weights: LossWeigh
 
 
 def discriminator_loss(disc: PatchDiscriminator, real: Tensor, fake: Tensor,
-                       mode: str = "nonsat") -> Tensor:
+                       mode: str) -> Tensor:
     """D's objective; the fake batch is detached here, so only D learns."""
     return adversarial_d_from_logits(disc(real), disc(fake.detach()), mode)

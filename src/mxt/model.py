@@ -76,19 +76,13 @@ class HybridModule(Module):
         # of parameter traversal, so names stay srsa.*, mamba.*, ffn.*
         self._blocks = []
         if cfg.enable_srsa:
-            self.srsa = Srsa(channels, rng, pooled_spatial=cfg.pooled_spatial,
-                             heads=cfg.heads, scale_qk=cfg.scale_qk, dtype=dtype)
+            self.srsa = Srsa(channels, cfg, rng, dtype=dtype)
             self._blocks.append(self.srsa)
         if cfg.enable_mamba:
-            self.mamba = MambaBlock(channels, rng, state_dim=cfg.state_dim,
-                                    expand=cfg.expand, conv_kernel=cfg.conv_kernel,
-                                    chunk_len=cfg.scan_chunk, use_pe=cfg.use_pe,
-                                    silu_after_conv=cfg.silu_after_conv,
-                                    use_skip=cfg.use_skip_d, dtype=dtype)
+            self.mamba = MambaBlock(channels, cfg, rng, dtype=dtype)
             self._blocks.append(self.mamba)
         if cfg.enable_ffn:
-            self.ffn = Gdfn(channels, rng, expansion=cfg.gdfn_expansion,
-                            context_broadcast=cfg.use_cbfn, dtype=dtype)
+            self.ffn = Gdfn(channels, cfg, rng, dtype=dtype)
             self._blocks.append(self.ffn)
 
     def forward(self, x: Tensor) -> Tensor:

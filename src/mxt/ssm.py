@@ -225,7 +225,7 @@ def _time_major(v: np.ndarray) -> np.ndarray:
 
 
 def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
-                    chunk_len: int = 64) -> Tensor:
+                    chunk_len: int) -> Tensor:
     """Fused selective scan y_t = sum_n c_t[n] h_t[n] over (B, L, E) inputs.
 
     h_t = exp(delta_t a) h_{t-1} + phi(a, delta_t) b_t x_t with h_{-1} = 0;
@@ -334,18 +334,18 @@ def selective_discrete(x: Tensor, params: SsmParams):
 
 
 def scan_with_params(x: Tensor, delta: Tensor, a: Tensor, b_t: Tensor, c_t: Tensor,
-                     skip_d: Tensor | None = None, chunk_len: int = 64) -> Tensor:
+                     skip_d: Tensor | None, chunk_len: int) -> Tensor:
     """Run the scan with explicit (frozen) parameters, plus skip_d * x.
 
     y is linear in x here, which the selective path deliberately is not.
     """
-    y = scan_recurrence(x, delta, a, b_t, c_t, chunk_len=chunk_len)
+    y = scan_recurrence(x, delta, a, b_t, c_t, chunk_len)
     if skip_d is not None:
         y = y + x * skip_d
     return y
 
 
-def scan_chunked(x: Tensor, params: SsmParams, chunk_len: int = 64) -> Tensor:
+def scan_chunked(x: Tensor, params: SsmParams, chunk_len: int) -> Tensor:
     """The selective scan of the model: projections, then the fused op."""
     delta, b_t, c_t = selective_discrete(x, params)
     return scan_with_params(x, delta, params.decay(), b_t, c_t, params.skip_d, chunk_len)

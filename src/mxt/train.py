@@ -64,7 +64,7 @@ class TrainConfig:
         for name in ("image_size", "data_count"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("iters", "log_every", "checkpoint_every"):
+        for name in ("seed", "iters", "log_every", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -83,13 +83,9 @@ class Adam(object):
     """Moment estimates are keyed by parameter name so they survive a
     checkpoint round trip attached to the right tensors."""
 
-    def __init__(self, module: Module, lr: float = 1e-4, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, module: Module, tcfg: TrainConfig):
         self.params = dict(module.named_parameters())
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps
         self.t = 0
         self.m = {n: np.zeros_like(p.data) for n, p in self.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
@@ -141,14 +137,14 @@ def _assemble_state(model: MxT, tcfg: TrainConfig, weights: LossWeights,
     """Optimizers, extractor and (when adversarial) discriminator around a
     model; disc_rng None leaves the discriminator for a load to fill in. The
     extractor is never stored, so it is always drawn from its fixed seed."""
-    opt_g = Adam(model, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
+    opt_g = Adam(model, tcfg)
     extractor = None
     if weights.style != 0 or weights.perceptual != 0:
         extractor = FeatureExtractor(dtype=model.dtype)
     disc = opt_d = None
     if weights.adversarial != 0:
         disc = PatchDiscriminator(disc_rng, dtype=model.dtype)
-        opt_d = Adam(disc, tcfg.lr, tcfg.beta1, tcfg.beta2, tcfg.eps)
+        opt_d = Adam(disc, tcfg)
     return TrainState(model=model, tcfg=tcfg, weights=weights, opt_g=opt_g,
                       extractor=extractor, disc=disc, opt_d=opt_d)
 
@@ -206,8 +202,7 @@ def train_step(state: TrainState, samples) -> dict:
         out = state.model(x)
         d_loss = None
         if state.disc is not None:
-            d_loss = discriminator_loss(state.disc, gt, out,
-                                        mode=state.weights.adv_mode)
+            d_loss = discriminator_loss(state.disc, gt, out, state.weights.adv_mode)
         g_loss, parts = generator_loss(out, gt, batch.mask, state.weights,
                                        state.extractor, state.disc)
         if d_loss is not None:

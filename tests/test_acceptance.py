@@ -43,7 +43,7 @@ def test_01_chunked_scan_matches_sequential():
             E = int(rng.integers(1, 7))
             B = int(rng.integers(1, 3))
             chunk = chunks[i % len(chunks)] or L
-            params = SsmParams(E, N, rng, dtype=np.float64)
+            params = SsmParams(E, N, rng, False, dtype=np.float64)
             x = Tensor(rng.standard_normal((B, L, E)), dtype=np.float64)
             y_seq = scan_sequential(x, params).data
             y_chk = scan_chunked(x, params, chunk_len=chunk).data
@@ -149,19 +149,21 @@ def test_05_attention_pooling_cbfn_and_pe():
     per-channel constant (spread < 1e-6); the first positional-encoding row
     is exactly {0, 1}."""
     from mxt.blocks import Gdfn, Srsa, positional_encoding
+    from mxt.model import ModelConfig
 
     checks = []
     with T.no_grad():
         for size in (16, 32, 64):
-            srsa = Srsa(8, np.random.default_rng(2), pooled_spatial=8, dtype=np.float64)
+            srsa = Srsa(8, ModelConfig(pooled_spatial=8), np.random.default_rng(2),
+                        dtype=np.float64)
             x = Tensor(np.random.default_rng(3).standard_normal((1, 8, size, size)))
             att = srsa.attention_map(x).data  # (B, heads, L, tokens)
             checks.append(att.shape[-1] == 64)
             checks.append(float(np.max(np.abs(att.sum(-1) - 1.0))) < 1e-6)
 
-        plain = Gdfn(8, np.random.default_rng(4), context_broadcast=False,
+        plain = Gdfn(8, ModelConfig(use_cbfn=False), np.random.default_rng(4),
                      dtype=np.float64)
-        ctx = Gdfn(8, np.random.default_rng(4), context_broadcast=True,
+        ctx = Gdfn(8, ModelConfig(use_cbfn=True), np.random.default_rng(4),
                    dtype=np.float64)
         xb = Tensor(np.random.default_rng(5).standard_normal((2, 8, 12, 12)))
         diff = ctx(xb).data - plain(xb).data          # (B, C, H, W)

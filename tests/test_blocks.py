@@ -7,6 +7,7 @@ import mxt.blocks as B
 import mxt.ssm as S
 import mxt.tensor as T
 from mxt.gradcheck import check_module_gradients
+from mxt.model import HybridModule, ModelConfig
 from mxt.tensor import Tensor
 
 
@@ -198,7 +199,7 @@ def test_positional_encoding_values():
 
 
 def test_srsa_shape_and_token_count():
-    srsa = B.Srsa(8, rng(10), pooled_spatial=8, dtype=np.float64)
+    srsa = B.Srsa(8, ModelConfig(pooled_spatial=8), rng(10), dtype=np.float64)
     for side in (16, 32):
         x = Tensor(rng(11).standard_normal((1, 8, side, side)), dtype=np.float64)
         y = srsa(x)
@@ -209,7 +210,7 @@ def test_srsa_shape_and_token_count():
 
 
 def test_srsa_pool_smaller_input_than_grid():
-    srsa = B.Srsa(4, rng(12), pooled_spatial=8, dtype=np.float64)
+    srsa = B.Srsa(4, ModelConfig(pooled_spatial=8), rng(12), dtype=np.float64)
     x = Tensor(rng(13).standard_normal((1, 4, 4, 4)), dtype=np.float64)
     att = srsa.attention_map(x)
     assert att.shape[-1] == 64
@@ -217,16 +218,16 @@ def test_srsa_pool_smaller_input_than_grid():
 
 
 def test_srsa_heads_split():
-    srsa = B.Srsa(8, rng(14), pooled_spatial=2, heads=2, dtype=np.float64)
+    srsa = B.Srsa(8, ModelConfig(pooled_spatial=2, heads=2), rng(14), dtype=np.float64)
     y = srsa(Tensor(rng(15).standard_normal((2, 8, 6, 6)), dtype=np.float64))
     assert y.shape == (2, 8, 6, 6)
     with pytest.raises(T.DimensionError):
-        B.Srsa(6, rng(16), heads=4)
+        B.Srsa(6, ModelConfig(heads=4), rng(16))
 
 
 def test_srsa_qk_scale_flag_changes_output():
-    a = B.Srsa(4, rng(17), pooled_spatial=2, scale_qk=False, dtype=np.float64)
-    b = B.Srsa(4, rng(17), pooled_spatial=2, scale_qk=True, dtype=np.float64)
+    a = B.Srsa(4, ModelConfig(pooled_spatial=2, scale_qk=False), rng(17), dtype=np.float64)
+    b = B.Srsa(4, ModelConfig(pooled_spatial=2, scale_qk=True), rng(17), dtype=np.float64)
     x = Tensor(rng(18).standard_normal((1, 4, 5, 5)), dtype=np.float64)
     ya, yb = a(x), b(x)
     assert np.abs(ya.data - yb.data).max() > 1e-9
@@ -234,7 +235,7 @@ def test_srsa_qk_scale_flag_changes_output():
 
 def test_srsa_forward_is_local_plus_attention_map_times_pooled_values():
     # two heads: channel d of head j is j*dh + d in both v and the output
-    srsa = B.Srsa(8, rng(21), pooled_spatial=2, heads=2, dtype=np.float64)
+    srsa = B.Srsa(8, ModelConfig(pooled_spatial=2, heads=2), rng(21), dtype=np.float64)
     x = Tensor(rng(22).standard_normal((2, 8, 6, 6)), dtype=np.float64)
     y = srsa(x).data
     att = srsa.attention_map(x).data                       # (B, heads, HW, 4)
@@ -250,7 +251,7 @@ def test_srsa_forward_is_local_plus_attention_map_times_pooled_values():
 def test_srsa_attention_map_equals_pooled_softmax_chain(heads, scale_qk):
     # the weights as the unfused ops compute them: pool k, scale the scores
     # k_p^T q, max-shifted softmax over the pooled tokens
-    srsa = B.Srsa(8, rng(48), pooled_spatial=2, heads=heads, scale_qk=scale_qk)
+    srsa = B.Srsa(8, ModelConfig(pooled_spatial=2, heads=heads, scale_qk=scale_qk), rng(48))
     x = Tensor(rng(49).standard_normal((2, 8, 6, 7)).astype(np.float32))
     qkv = srsa.qkv_dw(srsa.qkv(srsa.norm(x)))
     dh = 8 // heads
@@ -267,7 +268,7 @@ def test_srsa_attention_map_equals_pooled_softmax_chain(heads, scale_qk):
 
 
 def test_srsa_gradients():
-    srsa = B.Srsa(2, rng(19), pooled_spatial=2, dtype=np.float64)
+    srsa = B.Srsa(2, ModelConfig(pooled_spatial=2), rng(19), dtype=np.float64)
     report = check_module_gradients(srsa, rng(20).standard_normal((1, 2, 4, 4)))
     assert report["worst"] < 1e-5, report
 
@@ -276,7 +277,7 @@ def test_srsa_gradients():
 
 
 def test_mamba_block_shape_and_causality():
-    mb = B.MambaBlock(3, rng(21), state_dim=2, use_pe=False, dtype=np.float64)
+    mb = B.MambaBlock(3, ModelConfig(state_dim=2, use_pe=False), rng(21), dtype=np.float64)
     x = rng(22).standard_normal((1, 3, 4, 5))
     y0 = mb(Tensor(x, dtype=np.float64)).data
     assert y0.shape == (1, 3, 4, 5)
@@ -292,16 +293,17 @@ def test_mamba_block_shape_and_causality():
 
 
 def test_mamba_block_pe_toggle():
-    kw = dict(state_dim=2, chunk_len=8, dtype=np.float64)
-    on = B.MambaBlock(4, rng(23), use_pe=True, **kw)
-    off = B.MambaBlock(4, rng(23), use_pe=False, **kw)
+    on = B.MambaBlock(4, ModelConfig(state_dim=2, scan_chunk=8, use_pe=True), rng(23),
+                      dtype=np.float64)
+    off = B.MambaBlock(4, ModelConfig(state_dim=2, scan_chunk=8, use_pe=False), rng(23),
+                       dtype=np.float64)
     x = Tensor(rng(24).standard_normal((1, 4, 3, 3)), dtype=np.float64)
     assert np.abs(on(x).data - off(x).data).max() > 1e-9
 
 
 def test_mamba_block_scan_modes_agree(monkeypatch):
     # the block's fused scan against the sequential reference scan
-    mb = B.MambaBlock(3, rng(25), state_dim=2, chunk_len=4, dtype=np.float64)
+    mb = B.MambaBlock(3, ModelConfig(state_dim=2, scan_chunk=4), rng(25), dtype=np.float64)
     x = Tensor(rng(26).standard_normal((2, 3, 4, 4)), dtype=np.float64)
     yc = mb(x).data
     monkeypatch.setattr(B, "scan_chunked", lambda t, p, chunk_len: S.scan_sequential(t, p))
@@ -312,7 +314,7 @@ def test_mamba_block_scan_modes_agree(monkeypatch):
 def test_mamba_block_tape_holds_no_state_sized_output():
     # the fused scan keeps its (B, L, E, N) states inside one chunk
     bsz, c, hw, n = 1, 3, 4, 5
-    mb = B.MambaBlock(c, rng(25), state_dim=n, expand=2, chunk_len=4)
+    mb = B.MambaBlock(c, ModelConfig(state_dim=n, expand=2, scan_chunk=4), rng(25))
     x = Tensor(rng(26).standard_normal((bsz, c, hw, hw)).astype(np.float32), requires_grad=True)
     with T.Tape() as tape:
         mb(x)
@@ -326,13 +328,13 @@ def test_mamba_blocks_share_one_positional_table():
     x = Tensor(rng(46).standard_normal((1, 4, 3, 5)).astype(np.float32), requires_grad=True)
     with T.Tape() as tape:
         for seed in (47, 48):
-            B.MambaBlock(4, rng(seed), state_dim=2)(x)
+            B.MambaBlock(4, ModelConfig(state_dim=2), rng(seed))(x)
         tables = [node.inputs[1] for node in tape.nodes
                   if len(node.inputs) == 2 and node.inputs[1].shape == (15, 4)
                   and not node.inputs[1].requires_grad]
     assert len(tables) == 2 and tables[0] is tables[1]
     np.testing.assert_array_equal(tables[0].data, B.positional_encoding(15, 4, np.float32))
-    wide = B.MambaBlock(4, rng(49), state_dim=2, dtype=np.float64)
+    wide = B.MambaBlock(4, ModelConfig(state_dim=2), rng(49), dtype=np.float64)
     with T.Tape() as tape:
         wide(Tensor(x.data.astype(np.float64), requires_grad=True))
         assert any(node.inputs[1].dtype == np.float64 and node.inputs[1].shape == (15, 4)
@@ -340,7 +342,8 @@ def test_mamba_blocks_share_one_positional_table():
 
 
 def test_mamba_block_gradients():
-    mb = B.MambaBlock(2, rng(27), state_dim=2, expand=2, chunk_len=4, dtype=np.float64)
+    mb = B.MambaBlock(2, ModelConfig(state_dim=2, expand=2, scan_chunk=4), rng(27),
+                      dtype=np.float64)
     report = check_module_gradients(mb, rng(28).standard_normal((1, 2, 4, 4)))
     assert report["worst"] < 1e-5, report
 
@@ -350,22 +353,23 @@ def test_mamba_block_gradients():
 
 def test_gdfn_hidden_width_rule():
     # the hidden width is the project conv's input width
-    g = B.Gdfn(16, rng(29), dtype=np.float64)
+    g = B.Gdfn(16, ModelConfig(use_cbfn=False), rng(29), dtype=np.float64)
     assert g.project.w.shape[0] == round(2.66 * 16)
     assert g.expand.w.shape[1] == 2 * round(2.66 * 16)
-    tiny = B.Gdfn(2, rng(30), dtype=np.float64)
+    tiny = B.Gdfn(2, ModelConfig(use_cbfn=False), rng(30), dtype=np.float64)
     assert tiny.project.w.shape[0] >= 2
 
 
 def test_gdfn_shape():
-    g = B.Gdfn(4, rng(31), dtype=np.float64)
+    g = B.Gdfn(4, ModelConfig(use_cbfn=False), rng(31), dtype=np.float64)
     y = g(Tensor(rng(32).standard_normal((2, 4, 6, 6)), dtype=np.float64))
     assert y.shape == (2, 4, 6, 6)
 
 
 def test_cbfn_minus_gdfn_is_spatially_constant():
-    plain = B.Gdfn(4, rng(33), context_broadcast=False, dtype=np.float64)
-    cb = B.Gdfn(4, rng(33), context_broadcast=True, dtype=np.float64)  # same seed, same weights
+    plain = B.Gdfn(4, ModelConfig(use_cbfn=False), rng(33), dtype=np.float64)
+    # same seed, same weights; the default config builds the CBFN
+    cb = B.Gdfn(4, ModelConfig(), rng(33), dtype=np.float64)
     x = Tensor(rng(34).standard_normal((2, 4, 8, 8)), dtype=np.float64)
     diff = cb(x).data - plain(x).data
     spread = diff.max(axis=(2, 3)) - diff.min(axis=(2, 3))
@@ -376,7 +380,7 @@ def test_cbfn_minus_gdfn_is_spatially_constant():
 
 def test_gdfn_and_cbfn_gradients():
     for flag in (False, True):
-        g = B.Gdfn(2, rng(35), context_broadcast=flag, dtype=np.float64)
+        g = B.Gdfn(2, ModelConfig(use_cbfn=flag), rng(35), dtype=np.float64)
         report = check_module_gradients(g, rng(36).standard_normal((1, 2, 4, 4)))
         assert report["worst"] < 1e-5, (flag, report)
 
@@ -401,7 +405,7 @@ def _recorded_nodes(module, shape) -> int:
     (lambda r: B.Conv2d(3, 4, 3, r, stride=2, pad=1), (2, 3, 6, 6)),
     (lambda r: B.Conv2d(3, 4, 1, r), (2, 3, 6, 6)),
     (lambda r: B.DepthwiseConv2d(3, r), (2, 3, 6, 6)),
-    (lambda r: B.CausalConv1d(3, r), (2, 9, 3)),
+    (lambda r: B.CausalConv1d(3, r, 4), (2, 9, 3)),
     (lambda r: B.LayerNorm(3), (2, 9, 3)),
     (lambda r: B.ChannelLayerNorm(3), (2, 3, 6, 6)),
 ])
@@ -412,22 +416,49 @@ def test_each_layer_records_one_node(make, shape):
 def test_sub_block_tape_budget():
     # pinned at the fused layers: norm, convs and the gelu gate are one node
     # each; context broadcast adds a mean and an add
-    assert _recorded_nodes(B.Gdfn(8, rng(43)), (1, 8, 8, 8)) == 5
-    assert _recorded_nodes(B.Gdfn(8, rng(43), context_broadcast=True), (1, 8, 8, 8)) == 7
+    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=False), rng(43)), (1, 8, 8, 8)) == 5
+    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=True), rng(43)), (1, 8, 8, 8)) == 7
     # Srsa: norm, qkv, qkv_dw, the v slice, local, attention and the sum;
     # the attention term is one node with or without the scale
-    assert _recorded_nodes(B.Srsa(8, rng(44)), (1, 8, 8, 8)) == 7
-    assert _recorded_nodes(B.Srsa(8, rng(44), scale_qk=True), (1, 8, 8, 8)) == 7
+    assert _recorded_nodes(B.Srsa(8, ModelConfig(), rng(44)), (1, 8, 8, 8)) == 7
+    assert _recorded_nodes(B.Srsa(8, ModelConfig(scale_qk=True), rng(44)), (1, 8, 8, 8)) == 7
     # every Linear and the scan's dt projection are one linear node, their
     # silu or softplus included
-    assert _recorded_nodes(B.MambaBlock(8, rng(44)), (1, 8, 4, 4)) == 17
+    assert _recorded_nodes(B.MambaBlock(8, ModelConfig(), rng(44)), (1, 8, 4, 4)) == 17
+
+
+# ---- one description: the sub-blocks read ModelConfig --------------------------------
+
+
+@pytest.mark.parametrize("cfg", [
+    ModelConfig(),
+    ModelConfig(use_cbfn=False, scale_qk=True, use_skip_d=True),
+], ids=["defaults", "gdfn-scaled-skip"])
+def test_sub_blocks_built_alone_equal_the_hybrid_modules(cfg):
+    # the same draws in the same order give the same weights, and the same
+    # flags the same forward
+    hm = HybridModule(8, cfg, rng(50), dtype=np.float64)
+    r = rng(50)
+    alone = {"srsa": B.Srsa(8, cfg, r, dtype=np.float64),
+             "mamba": B.MambaBlock(8, cfg, r, dtype=np.float64),
+             "ffn": B.Gdfn(8, cfg, r, dtype=np.float64)}
+    expect = [(f"{k}.{n}", p) for k, blk in alone.items() for n, p in blk.named_parameters()]
+    got = list(hm.named_parameters())
+    assert [n for n, _ in got] == [n for n, _ in expect]
+    for (name, a), (_, b) in zip(got, expect):
+        assert np.array_equal(a.data, b.data), name
+    x = Tensor(rng(51).standard_normal((1, 8, 4, 4)), dtype=np.float64)
+    y = x
+    for blk in alone.values():
+        y = y + blk(y)
+    assert np.array_equal(hm(x).data, y.data)
 
 
 # ---- module traversal ------------------------------------------------------------------
 
 
 def test_named_parameters_deterministic_and_skips_private():
-    mb = B.MambaBlock(3, rng(38), state_dim=2, dtype=np.float64)
+    mb = B.MambaBlock(3, ModelConfig(state_dim=2), rng(38), dtype=np.float64)
     names = [n for n, _ in mb.named_parameters()]
     assert names == [n for n, _ in mb.named_parameters()]
     assert all(not n.startswith("_") for n in names)

@@ -428,3 +428,54 @@ def test_eval_scores_images_of_two_sizes(tiny_ckpt, tmp_path, capsys):
     assert main(["eval", "--model", tiny_ckpt, "--data-dir", data, "--per-image"]) == 0
     out = capsys.readouterr().out
     assert "image=0" in out and "image=1" in out
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["train", "--seed", "-1"], None),
+    (["train", "--set", "train.seed=-1"], None),
+    (["train"], "-1"),
+    (["eval", "--seed", "-2"], None),
+    (["eval"], "-1"),
+    (["mask-gen", "--seed", "-3"], None),
+    (["mask-gen"], "-1"),
+    (["scan-bench", "--seed", "-1"], None),
+], ids=["train-flag", "train-set", "train-env", "eval-flag", "eval-env", "mask-gen-flag",
+        "mask-gen-env", "scan-bench-flag"])
+def test_negative_seed_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, env):
+    import mxt.cli
+    import mxt.model
+    import mxt.train
+
+    monkeypatch.setattr(mxt.model, "load_model", _no_work)
+    monkeypatch.setattr(mxt.train, "init_train_state", _no_work)
+    monkeypatch.setattr(mxt.cli, "scan_time_ratio", _no_work)
+    if env is None:
+        monkeypatch.delenv("MXT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MXT_SEED", env)
+    out = tmp_path / "out"
+    cmd, *flags = argv
+    io = {"train": ["--out", str(out), "--iters", "1", "--synthetic", "2", *TINY],
+          "eval": ["--model", str(tmp_path / "run.ckpt")],
+          "mask-gen": ["--out", str(out)],
+          "scan-bench": []}[cmd]
+    assert main([cmd, *io, *flags]) == 2
+    err = capsys.readouterr().err
+    assert ("MXT_SEED" if env else "seed") in err and ">= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["filled.jpg", "filled", "missing/filled.ppm", "."])
+def test_infer_checks_out_before_loading_the_model(tmp_path, monkeypatch, capsys, name):
+    import mxt.model
+
+    monkeypatch.setattr(mxt.model, "load_model", _no_work)
+    out = str(tmp_path / name)
+    assert main(["infer", "--model", str(tmp_path / "run.ckpt"), "--image", "in.ppm",
+                 "--mask", "holes.pgm", "--out", out]) == 2
+    assert f"--out {out}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "missing")

@@ -59,7 +59,7 @@ def test_gram_matrix_matches_loop_oracle():
 
 
 def test_style_and_perceptual_zero_on_identical():
-    ex = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
+    ex = L.FeatureExtractor(dtype=np.float64)
     x = Tensor(rng(4).uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
     feats = ex(x)
     assert L.style_loss(feats, feats).item() == 0.0
@@ -70,8 +70,8 @@ def test_style_and_perceptual_zero_on_identical():
 
 
 def test_extractor_is_frozen_and_reproducible():
-    a = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
-    b = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
+    a = L.FeatureExtractor(dtype=np.float64)
+    b = L.FeatureExtractor(dtype=np.float64)
     for (na, pa), (nb, pb) in zip(a.named_parameters(), b.named_parameters()):
         assert na == nb
         np.testing.assert_array_equal(pa.data, pb.data)
@@ -79,7 +79,7 @@ def test_extractor_is_frozen_and_reproducible():
 
 
 def test_gradient_flows_through_frozen_extractor_into_input():
-    ex = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
+    ex = L.FeatureExtractor(dtype=np.float64)
     x = Tensor(rng(6).uniform(0, 1, (1, 3, 8, 8)), requires_grad=True, dtype=np.float64)
     gt = Tensor(rng(7).uniform(0, 1, (1, 3, 8, 8)), dtype=np.float64)
     with Tape():
@@ -93,8 +93,8 @@ def test_gradient_flows_through_frozen_extractor_into_input():
 
 def test_adversarial_nonsat_zero_logits_baseline():
     z = Tensor(np.zeros((2, 1, 4, 4)), dtype=np.float64)
-    assert L.adversarial_g_from_logits(z).item() == pytest.approx(np.log(2))
-    assert L.adversarial_d_from_logits(z, z).item() == pytest.approx(2 * np.log(2))
+    assert L.adversarial_g_from_logits(z, "nonsat").item() == pytest.approx(np.log(2))
+    assert L.adversarial_d_from_logits(z, z, "nonsat").item() == pytest.approx(2 * np.log(2))
 
 
 def test_adversarial_hinge_formulas():
@@ -110,8 +110,10 @@ def test_adversarial_directions():
     # confident-correct D lowers its loss; G prefers fooling D
     good = Tensor(np.full((1, 1, 2, 2), 5.0), dtype=np.float64)
     bad = Tensor(np.full((1, 1, 2, 2), -5.0), dtype=np.float64)
-    assert L.adversarial_d_from_logits(good, bad).item() < L.adversarial_d_from_logits(bad, good).item()
-    assert L.adversarial_g_from_logits(good).item() < L.adversarial_g_from_logits(bad).item()
+    d = L.adversarial_d_from_logits
+    assert d(good, bad, "nonsat").item() < d(bad, good, "nonsat").item()
+    g = L.adversarial_g_from_logits
+    assert g(good, "nonsat").item() < g(bad, "nonsat").item()
 
 
 def test_unknown_adv_mode_rejected():
@@ -123,7 +125,7 @@ def test_unknown_adv_mode_rejected():
 
 
 def test_generator_loss_weighting_and_parts():
-    ex = L.FeatureExtractor(widths=(2, 3, 4, 5), dtype=np.float64)
+    ex = L.FeatureExtractor(dtype=np.float64)
     disc = L.PatchDiscriminator(rng(8), widths=(4, 8, 8), dtype=np.float64)
     g = rng(9)
     out = Tensor(g.uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
@@ -145,7 +147,8 @@ def test_zero_weight_terms_not_evaluated():
     total, parts = L.generator_loss(out, gt, mask, w, extractor=None, disc=None)
     assert set(parts) == {"l1", "total"}
     with pytest.raises(ContractError):
-        L.generator_loss(out, gt, mask, L.LossWeights(l1=0, style=0, perceptual=0, adversarial=0))
+        L.generator_loss(out, gt, mask, L.LossWeights(l1=0, style=0, perceptual=0, adversarial=0),
+                         None, None)
 
 
 def test_composite_mode_ignores_known_region_errors():
@@ -156,7 +159,7 @@ def test_composite_mode_ignores_known_region_errors():
     out_bad_outside = gt.data.copy()
     out_bad_outside[0, :, 4:, 4:] += 0.5  # wrong only where mask = 0
     w = L.LossWeights(l1=1.0, style=0, perceptual=0, adversarial=0, composite=True)
-    total, _ = L.generator_loss(Tensor(out_bad_outside, dtype=np.float64), gt, mask, w)
+    total, _ = L.generator_loss(Tensor(out_bad_outside, dtype=np.float64), gt, mask, w, None, None)
     assert float(total.data) == 0.0
 
 
@@ -165,7 +168,7 @@ def test_discriminator_loss_detaches_fake():
     fake = Tensor(rng(14).uniform(0, 1, (1, 3, 16, 16)), requires_grad=True, dtype=np.float64)
     real = Tensor(rng(15).uniform(0, 1, (1, 3, 16, 16)), dtype=np.float64)
     with Tape():
-        L.discriminator_loss(disc, real, fake).backward()
+        L.discriminator_loss(disc, real, fake, "nonsat").backward()
     assert fake.grad is None  # detached: nothing reaches the generator side
     assert any(p.grad is not None for p in disc.parameters())
 
@@ -178,7 +181,7 @@ def test_loss_gradients_vs_fd():
 
     class Wrapper(Module):
         def __init__(self, kind):
-            self.ex = L.FeatureExtractor(widths=(2, 2, 3, 3), dtype=np.float64)
+            self.ex = L.FeatureExtractor(dtype=np.float64)
             self.disc = L.PatchDiscriminator(rng(16), widths=(3, 4, 4), dtype=np.float64)
             self._kind = kind
             self._gt = rng(17).uniform(0, 1, (1, 3, 8, 8))
@@ -196,7 +199,7 @@ def test_loss_gradients_vs_fd():
             if self._kind == "perceptual":
                 return L.perceptual_loss(self.ex(x), self.ex(gt))
             if self._kind == "adv_g":
-                return L.adversarial_g_from_logits(self.disc(x))
+                return L.adversarial_g_from_logits(self.disc(x), "nonsat")
             raise AssertionError(self._kind)
 
     x = rng(18).uniform(0.2, 0.8, (1, 3, 8, 8))

@@ -227,7 +227,7 @@ def test_scan_recurrence_gradients_vs_fd():
 
 def test_scan_float32_bit_equal_to_reference_at_paper_level0():
     # paper layout, level 0 of a 64x64 image: E = 2*16 channels, N = 8, L = 64^2
-    p = SsmParams(32, 8, rng(30), dtype=np.float32)
+    p = SsmParams(32, 8, rng(30), False, dtype=np.float32)
     x = Tensor(rng(31).standard_normal((1, 64 * 64, 32)).astype(np.float32))
     with T.no_grad():
         delta, bt, ct = S.selective_discrete(x, p)
@@ -261,7 +261,7 @@ def unfused_scan_f32(x, p, recurrence=lambda a, b: recurrence_chunked(a, b, 64))
 def test_scan_float32_bit_equal_to_reference_at_every_paper_level(E, L):
     # levels 1-3 of the paper layout on a 64x64 image (level 0 is the test
     # above), plus a ragged last chunk
-    p = SsmParams(E, 8, rng(40 + E), dtype=np.float32)
+    p = SsmParams(E, 8, rng(40 + E), False, dtype=np.float32)
     x = Tensor(rng(41).standard_normal((1, L, E)).astype(np.float32))
     with T.no_grad():
         got = S.scan_chunked(x, p, chunk_len=64).data
@@ -276,7 +276,7 @@ def test_scan_float32_bit_equal_to_reference_at_every_paper_level(E, L):
 def test_scan_float32_bit_equal_to_sequential_chain(E, L, B, chunk_len):
     # the fused op steps every chunk in the sequential update's arithmetic,
     # so chunk_len sets only the block size, never the rounding
-    p = SsmParams(E, 8, rng(50 + E), dtype=np.float32)
+    p = SsmParams(E, 8, rng(50 + E), False, dtype=np.float32)
     x = Tensor(rng(51).standard_normal((B, L, E)).astype(np.float32))
     with T.no_grad():
         got = S.scan_chunked(x, p, chunk_len=chunk_len).data
@@ -343,7 +343,7 @@ def test_scan_nonfinite_reports_timestep():
     arrays = scan_inputs(L=8)
     arrays[0][0, 3, 1] = np.inf
     with pytest.raises(NumericError, match="t=3"):
-        S.scan_recurrence(*(f64(v) for v in arrays))
+        S.scan_recurrence(*(f64(v) for v in arrays), chunk_len=64)
 
 
 @pytest.mark.parametrize("B,sample", [(1, 0), (2, 1)])
@@ -358,11 +358,11 @@ def test_scan_nonfinite_in_later_chunk_reports_global_timestep(B, sample):
 def test_scan_shape_mismatch():
     x, delta, a, b, c = (f64(v) for v in scan_inputs(L=4))
     with pytest.raises(DimensionError):
-        S.scan_recurrence(x, f64(np.ones((1, 5, 2))), a, b, c)
+        S.scan_recurrence(x, f64(np.ones((1, 5, 2))), a, b, c, chunk_len=64)
     with pytest.raises(DimensionError):
-        S.scan_recurrence(x, delta, a, f64(np.ones((1, 4, 2))), c)
+        S.scan_recurrence(x, delta, a, f64(np.ones((1, 4, 2))), c, chunk_len=64)
     with pytest.raises(DimensionError):
-        S.scan_recurrence(x, delta, f64(np.ones((3, 3))), b, c)
+        S.scan_recurrence(x, delta, f64(np.ones((3, 3))), b, c, chunk_len=64)
 
 
 def test_scan_rejects_negative_delta_and_bad_chunk():
@@ -371,7 +371,7 @@ def test_scan_rejects_negative_delta_and_bad_chunk():
         S.scan_recurrence(*(f64(v) for v in arrays), chunk_len=0)
     arrays[1][0, 2, 0] = -1e-3
     with pytest.raises(ContractError):
-        S.scan_recurrence(*(f64(v) for v in arrays))
+        S.scan_recurrence(*(f64(v) for v in arrays), chunk_len=64)
 
 
 def test_scan_backward_uses_forward_time_values():
@@ -426,16 +426,16 @@ def test_frozen_params_scan_is_linear():
     x = Tensor(rng(18).standard_normal((2, 12, 3)), dtype=np.float64)
     delta, bt, ct = S.selective_discrete(x, p)
     assert delta.shape == (2, 12, 3) and bt.shape == ct.shape == (2, 12, 2)
-    y1 = S.scan_with_params(x, delta, p.decay(), bt, ct, chunk_len=5).data
-    y2 = S.scan_with_params(x * 2.5, delta, p.decay(), bt, ct, chunk_len=5).data
+    y1 = S.scan_with_params(x, delta, p.decay(), bt, ct, None, chunk_len=5).data
+    y2 = S.scan_with_params(x * 2.5, delta, p.decay(), bt, ct, None, chunk_len=5).data
     np.testing.assert_allclose(y2, 2.5 * y1, rtol=1e-11, atol=1e-12)
 
 
 def test_selective_scan_not_linear():
     p = make_params(seed=4)
     x = Tensor(rng(19).standard_normal((1, 10, 3)), dtype=np.float64)
-    y1 = S.scan_chunked(x, p).data
-    y2 = S.scan_chunked(x * 2.0, p).data
+    y1 = S.scan_chunked(x, p, chunk_len=64).data
+    y2 = S.scan_chunked(x * 2.0, p, chunk_len=64).data
     assert np.abs(y2 - 2.0 * y1).max() > 1e-6
 
 
@@ -476,7 +476,7 @@ def test_full_selective_scan_gradients():
     names = ["a_log", "dt_w", "dt_b", "b_w", "c_w"]
 
     def f(xv, *weights):
-        q = SsmParams(E, N, None, dtype=np.float64)
+        q = SsmParams(E, N, None, False, dtype=np.float64)
         for name, t in zip(names, weights):
             setattr(q, name, t)
         return T.sum_(S.scan_chunked(xv, q, chunk_len=3) * w)
@@ -489,9 +489,9 @@ def test_full_selective_scan_gradients():
 def test_skip_term_adds_direct_path():
     p = make_params(seed=9, use_skip=True)
     x = Tensor(rng(22).standard_normal((1, 8, 3)), dtype=np.float64)
-    y_skip = S.scan_chunked(x, p).data
-    p2 = SsmParams(3, 2, None, dtype=np.float64)
+    y_skip = S.scan_chunked(x, p, chunk_len=64).data
+    p2 = SsmParams(3, 2, None, False, dtype=np.float64)
     for name in ("a_log", "dt_w", "dt_b", "b_w", "c_w"):
         setattr(p2, name, getattr(p, name))
-    y_none = S.scan_chunked(x, p2).data
+    y_none = S.scan_chunked(x, p2, chunk_len=64).data
     np.testing.assert_allclose(y_skip, y_none + p.skip_d.data * x.data, rtol=1e-12)

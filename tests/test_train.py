@@ -43,7 +43,7 @@ class _Pair(Module):
 
 def test_adam_matches_reference_updates():
     mod = _Pair()
-    opt = Adam(mod, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+    opt = Adam(mod, TrainConfig(lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8))
     # reference trackers
     ref = {n: p.data.copy() for n, p in mod.named_parameters()}
     m = {n: np.zeros_like(v) for n, v in ref.items()}
@@ -67,7 +67,7 @@ def test_adam_matches_reference_updates():
 def test_adam_skips_frozen_and_gradless():
     mod = _Pair()
     mod.b.requires_grad = False
-    opt = Adam(mod, lr=0.5)
+    opt = Adam(mod, TrainConfig(lr=0.5))
     before_a = mod.a.data.copy()
     before_b = mod.b.data.copy()
     mod.a.grad = np.ones(3)
@@ -76,7 +76,7 @@ def test_adam_skips_frozen_and_gradless():
     assert np.array_equal(mod.b.data, before_b)
     # no grad at all -> untouched
     mod2 = _Pair()
-    opt2 = Adam(mod2, lr=0.5)
+    opt2 = Adam(mod2, TrainConfig(lr=0.5))
     snap = mod2.a.data.copy()
     opt2.step()
     assert np.array_equal(mod2.a.data, snap)
@@ -206,7 +206,7 @@ def test_paper_layout_tape_holds_at_most_118_mib():
     gt = Tensor(batch.i_gt)
     with Tape() as tape:
         out = state.model(Tensor(batch.i_in))
-        discriminator_loss(state.disc, gt, out)
+        discriminator_loss(state.disc, gt, out, state.weights.adv_mode)
         generator_loss(out, gt, batch.mask, state.weights, state.extractor, state.disc)
         bases = {}
         for node in tape.nodes:
