@@ -194,14 +194,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    from .data import read_image, read_pgm, write_image
+    from .data import check_image, read_image, read_pgm, write_image
     from .model import composite, load_model, prepare_input, tiled_inference
 
     _require_file_path(args.out)
-    ext = os.path.splitext(args.out)[1].lower()
-    if ext not in (".ppm", ".pgm", ".png"):
-        raise ContractError(f"--out {args.out}: unsupported image extension {ext!r} (ppm/pgm/png)")
+    check_image(args.out, None, "--out")
+    check_image(args.image, 3, "--image")
     model, _meta = load_model(args.model)
+    # composited output takes the input's 3 channels
+    check_image(args.out, model.config.output_channels if args.raw else 3, "--out")
     img = read_image(args.image)
     mask = read_pgm(args.mask)
     if mask.shape[1:] != img.shape[1:]:
@@ -309,7 +310,7 @@ def cmd_scan_bench(args) -> int:
 
 
 def cmd_mask_gen(args) -> int:
-    from .data import BUCKETS, MaskSpec, generate_irregular_mask, write_pgm
+    from .data import BUCKETS, mask_set, write_pgm
 
     _require_at_least(1, ("--size", args.size), ("--count", args.count))
     seed = _resolve_seed(args.seed)
@@ -321,10 +322,7 @@ def cmd_mask_gen(args) -> int:
     manifest = []
     fallbacks = 0
     for bucket in buckets:
-        for i in range(args.count):
-            spec = MaskSpec(bucket=bucket, seed=seed * 1000003 + i)
-            res = generate_irregular_mask(spec, args.size, args.size)
-            name = f"{bucket}-{i:04d}.pgm"
+        for name, res in mask_set(bucket, args.count, args.size, seed):
             write_pgm(os.path.join(args.out, name), res.mask)
             fallbacks += int(res.fallback)
             manifest.append(f"{name} bucket={bucket} ratio={res.ratio:.4f} "
@@ -385,8 +383,8 @@ def build_parser() -> _Parser:
 
     inf = sub.add_parser("infer", help="fill holes in one image")
     inf.add_argument("--model", required=True)
-    inf.add_argument("--image", required=True, help="input .ppm/.png")
-    inf.add_argument("--mask", required=True, help="hole mask .pgm (white = hole)")
+    inf.add_argument("--image", required=True, help="input RGB image")
+    inf.add_argument("--mask", required=True, help="hole mask, binary PGM (white = hole)")
     inf.add_argument("--out", required=True)
     inf.add_argument("--tile", type=int, default=0, help="tile size (0 = whole image)")
     inf.add_argument("--overlap", type=int, default=16)

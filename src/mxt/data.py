@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -130,39 +130,49 @@ def write_pgm(path: str, mask: np.ndarray) -> None:
         f.write(q.tobytes())
 
 
-def read_image(path: str) -> np.ndarray:
+# image file formats by extension, and the channel counts a file of each holds
+FORMATS = {".ppm": (3,), ".pgm": (1,), ".png": (1, 3)}
+
+
+def check_image(path: str, channels: int | None, what: str) -> str:
+    """The extension of image file `path`, checked to be in FORMATS, to hold
+    `channels` channels (any count when None) and, for .png, to find pillow
+    installed. Errors name `what`, the flag or use of the path, and the path."""
     ext = os.path.splitext(path)[1].lower()
-    if ext == ".ppm":
-        return read_ppm(path)
-    if ext == ".pgm":
-        return read_pgm(path)
+    if ext not in FORMATS:
+        raise ContractError(f"{what} {path}: unsupported image extension {ext!r} "
+                            f"({'/'.join(FORMATS)})")
+    if channels is not None and channels not in FORMATS[ext]:
+        raise ContractError(f"{what} {path}: a {ext} file cannot hold a {channels}-channel image")
     if ext == ".png":
         try:
-            from PIL import Image
+            from PIL import Image  # noqa: F401
         except ImportError as e:
-            raise ContractError("PNG support needs the 'png' extra (pillow)") from e
-        arr = np.asarray(Image.open(path).convert("RGB"))
-        return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
-    raise ContractError(f"unsupported image extension {ext!r} (ppm/pgm/png)")
+            raise ContractError(f"{what} {path}: PNG support needs the 'png' extra (pillow)") from e
+    return ext
+
+
+def read_image(path: str) -> np.ndarray:
+    """An RGB image file -> (3, H, W) float64 in [0, 1]."""
+    if check_image(path, 3, "read_image") == ".ppm":
+        return read_ppm(path)
+    from PIL import Image
+
+    arr = np.asarray(Image.open(path).convert("RGB"))
+    return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 def write_image(path: str, img: np.ndarray) -> None:
-    ext = os.path.splitext(path)[1].lower()
+    ext = check_image(path, img.shape[0], "write_image")
     if ext == ".ppm":
         write_ppm(path, img)
     elif ext == ".pgm":
         write_pgm(path, img)
-    elif ext == ".png":
-        try:
-            from PIL import Image
-        except ImportError as e:
-            raise ContractError("PNG support needs the 'png' extra (pillow)") from e
-        if img.shape[0] == 1:
-            Image.fromarray(_quantize(img)[0], mode="L").save(path)
-        else:
-            Image.fromarray(_quantize(img).transpose(1, 2, 0)).save(path)
     else:
-        raise ContractError(f"unsupported image extension {ext!r} (ppm/pgm/png)")
+        from PIL import Image
+
+        q = _quantize(img)  # (1, H, W) is written as a grayscale "L" image
+        Image.fromarray(q[0] if len(q) == 1 else q.transpose(1, 2, 0)).save(path)
 
 
 # ---- irregular masks --------------------------------------------------------------
@@ -176,8 +186,8 @@ class MaskSpec:
     scales with the image side.
     """
 
-    bucket: str = "mid"
-    seed: int = 0
+    bucket: str
+    seed: int
 
     def range(self) -> tuple:
         if self.bucket not in BUCKETS:
@@ -259,7 +269,7 @@ def generate_irregular_mask(spec: MaskSpec, height: int, width: int) -> MaskResu
 class ImageSample:
     i_gt: np.ndarray   # (3, H, W)
     mask: np.ndarray   # (1, H, W)
-    bucket: str = ""
+    bucket: str
 
 
 def synthetic_image(height: int, width: int, rng: np.random.Generator) -> np.ndarray:
@@ -294,15 +304,38 @@ def synthetic_image(height: int, width: int, rng: np.random.Generator) -> np.nda
 BUCKET_CYCLE = ("low", "mid", "high")
 
 
-def synthetic_dataset(count: int, height: int, width: int, seed: int = 0) -> list:
-    """Deterministic list of samples; mask buckets cycle low/mid/high."""
+def masked_samples(images, seed: int) -> list:
+    """One sample per (3, H, W) image, in order; the hole mask of image i is
+    drawn from (seed, i), and mask buckets cycle low/mid/high."""
     samples = []
-    for i in range(count):
-        img = synthetic_image(height, width, np.random.default_rng([seed, i]))
+    for i, img in enumerate(images):
         bucket = BUCKET_CYCLE[i % len(BUCKET_CYCLE)]
-        res = generate_irregular_mask(MaskSpec(bucket=bucket, seed=seed * 100003 + i), height, width)
-        samples.append(ImageSample(i_gt=img, mask=res.mask, bucket=bucket))
+        spec = MaskSpec(bucket, seed * 100003 + i)
+        res = generate_irregular_mask(spec, img.shape[1], img.shape[2])
+        samples.append(ImageSample(img, res.mask, bucket))
     return samples
+
+
+def synthetic_dataset(count: int, height: int, width: int, seed: int) -> list:
+    """Deterministic list of samples of generated images."""
+    return masked_samples((synthetic_image(height, width, np.random.default_rng([seed, i]))
+                           for i in range(count)), seed)
+
+
+def folder_dataset(directory: str, seed: int) -> list:
+    """Samples of the RGB image files in a directory, in name order."""
+    exts = tuple(ext for ext, held in FORMATS.items() if 3 in held)
+    names = sorted(n for n in os.listdir(directory) if n.lower().endswith(exts))
+    if not names:
+        raise ContractError(f"no {'/'.join(exts)} images in {directory!r}")
+    return masked_samples((read_image(os.path.join(directory, n)) for n in names), seed)
+
+
+def mask_set(bucket: str, count: int, size: int, seed: int):
+    """The masks `mxt mask-gen` writes for one bucket: (file name, MaskResult)."""
+    for i in range(count):
+        spec = MaskSpec(bucket, seed * 1000003 + i)
+        yield f"{bucket}-{i:04d}.pgm", generate_irregular_mask(spec, size, size)
 
 
 # ---- batching ----------------------------------------------------------------------------
@@ -313,7 +346,7 @@ class Batch:
     i_gt: np.ndarray   # (B, 3, H, W)
     mask: np.ndarray   # (B, 1, H, W)
     i_in: np.ndarray   # (B, 4, H, W)
-    indices: tuple = field(default=())
+    indices: tuple
 
 
 def _epoch_perm(n: int, seed: int, epoch: int) -> np.ndarray:

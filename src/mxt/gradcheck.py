@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, Tape
+from .tensor import Tape, Tensor, no_grad
 
 
 def fd_gradients(f: Callable[..., float], arrays: Sequence[np.ndarray], h: float = 1e-5):
@@ -39,34 +39,42 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+def _tape_vs_fd(leaves: list, objective: Callable, value: Callable, h: float) -> list:
+    """Relative error of each leaf's tape gradient of the scalar objective()
+    against central differences of value(*arrays). The differences run on
+    private copies of the leaves' arrays, so no array a leaf wraps is written.
+    The leaves' .grad is cleared before and after."""
+    for leaf in leaves:
+        leaf.grad = None
+    with Tape():
+        out = objective()
+        if out.shape != ():
+            raise ValueError(f"gradcheck target must be scalar, got {out.shape}")
+        out.backward()
+    analytic = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+                for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    numeric = fd_gradients(value, [leaf.data.copy() for leaf in leaves], h=h)
+    return [relative_error(a, n) for a, n in zip(analytic, numeric)]
+
+
 def check_function(build: Callable[..., Tensor], arrays: Sequence[np.ndarray], h: float = 1e-5):
     """Compare tape gradients of ``build(*leaf_tensors) -> scalar`` to FD.
 
     Returns (worst_rel_err, per_input_errors). Arrays must be float64.
     """
-    arrays = [np.array(a, dtype=np.float64) for a in arrays]
-    leaves = [Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
-    with Tape():
-        out = build(*leaves)
-        if out.shape != ():
-            raise ValueError(f"gradcheck target must be scalar, got {out.shape}")
-        out.backward()
-    analytic = [
-        leaf.grad if leaf.grad is not None else np.zeros_like(a)
-        for leaf, a in zip(leaves, arrays)
-    ]
-
-    def scalar(*vals):
-        ts = [Tensor(v, dtype=np.float64) for v in vals]
-        return float(build(*ts).data)
-
-    numeric = fd_gradients(scalar, arrays, h=h)
-    errs = [relative_error(a, n) for a, n in zip(analytic, numeric)]
+    leaves = [Tensor(np.array(a, dtype=np.float64), requires_grad=True, dtype=np.float64)
+              for a in arrays]
+    # the float64 copies stay float64 through Tensor
+    errs = _tape_vs_fd(leaves, lambda: build(*leaves),
+                       lambda *vals: float(build(*map(Tensor, vals)).data), h)
     return (max(errs) if errs else 0.0), errs
 
 
-# seed of the random weights that reduce a module's output to a scalar
-_REDUCE_SEED = 1234
+def _reduce_weights(shape: tuple) -> np.ndarray:
+    """Fixed random weights that reduce a module's output to the checked scalar."""
+    return np.random.default_rng(1234).standard_normal(shape)
 
 
 def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, forward=None) -> dict:
@@ -77,37 +85,32 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, forward=None)
     the check. Returns {name: rel_err} plus a "worst" entry; the input slot
     is named "<input>".
     """
-    from .tensor import no_grad
-
     forward = forward or (lambda m, t: m(t))
-    x = np.array(x, dtype=np.float64)
     params = list(module.named_parameters())
-    for _, p in params:
-        if p.data.dtype != np.float64:
-            raise ValueError("gradcheck needs a float64 module")
-        p.grad = None
+    if any(p.data.dtype != np.float64 for _, p in params):
+        raise ValueError("gradcheck needs a float64 module")
+    checked = [(name, p) for name, p in params if p.requires_grad]
+    originals = [p.data for _, p in checked]
+    xt = Tensor(np.array(x, dtype=np.float64), requires_grad=True, dtype=np.float64)
 
-    xt = Tensor(x, requires_grad=True, dtype=np.float64)
-    with Tape():
+    def objective() -> Tensor:
         y = forward(module, xt)
-        w = np.random.default_rng(_REDUCE_SEED).standard_normal(y.shape)
-        (y * Tensor(w, dtype=np.float64)).sum().backward()
-    analytic = {"<input>": xt.grad if xt.grad is not None else np.zeros_like(x)}
-    for name, p in params:
-        if p.requires_grad:
-            analytic[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
-        p.grad = None
+        return (y * Tensor(_reduce_weights(y.shape), dtype=np.float64)).sum()
 
-    def value(*_) -> float:
-        # the perturbed arrays are read in place: x and each p.data
+    def value(x_, *arrays) -> float:
+        # the module reads the perturbed copies in place of its own arrays
+        for (_, p), arr in zip(checked, arrays):
+            p.data = arr
         with no_grad():
-            out = forward(module, Tensor(x, dtype=np.float64))
-        return float(np.sum(out.data * w))
+            out = forward(module, Tensor(x_, dtype=np.float64))
+        return float(np.sum(out.data * _reduce_weights(out.shape)))
 
-    checked = [("<input>", x)] + [(name, p.data) for name, p in params if name in analytic]
-    numeric = fd_gradients(value, [arr for _, arr in checked], h=h)
-    report = {name: relative_error(analytic[name], g)
-              for (name, _), g in zip(checked, numeric)}
+    try:
+        errs = _tape_vs_fd([xt] + [p for _, p in checked], objective, value, h)
+    finally:
+        for (_, p), arr in zip(checked, originals):
+            p.data = arr
+    report = dict(zip(["<input>"] + [name for name, _ in checked], errs))
     report["worst"] = max(report.values())
     return report
 

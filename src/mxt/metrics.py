@@ -91,14 +91,14 @@ class MetricRecord:
 
 @dataclass
 class MetricReport:
+    composited: bool
     records: list = field(default_factory=list)
-    composited: bool = True
 
     def aggregate(self) -> dict:
-        """bucket -> {psnr, ssim, l1, count}; '' groups everything."""
+        """bucket -> {psnr, ssim, l1, count}; '' groups every record once."""
         groups: dict = {}
         for rec in self.records:
-            for key in ("", rec.bucket):
+            for key in ("", rec.bucket) if rec.bucket else ("",):
                 groups.setdefault(key, []).append(rec)
         out = {}
         for key, recs in groups.items():

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Conv2d, Gdfn, MambaBlock, Module, Srsa
+from .checkpoint import SchemaError, load_checkpoint, save_checkpoint
 from .tensor import ContractError, DimensionError, Tensor
 
 
@@ -344,8 +345,6 @@ def _load_state(path: str, parts: dict, stored: dict) -> None:
     `stored` must hold exactly the names the parts save, each with the shape
     and dtype of the array it replaces; otherwise SchemaError. The parts are
     filled before the check, so a caller drops them when it fails."""
-    from .checkpoint import SchemaError
-
     fresh = _state_tensors(parts, stored)
     missing = sorted(set(fresh) - set(stored))
     unused = sorted(set(stored) - set(fresh))
@@ -361,16 +360,12 @@ def _load_state(path: str, parts: dict, stored: dict) -> None:
 def _unloaded_model(path: str, meta: dict) -> MxT:
     """The MxT a checkpoint's metadata describes, built without drawing
     random numbers: its weights are left for _load_state to fill."""
-    from .checkpoint import SchemaError
-
     if meta.get("width") not in WIDTHS:
         raise SchemaError(f"{path}: missing or bad width {meta.get('width')!r}")
     return MxT(decode_config(ModelConfig, meta, "model."), None, dtype=WIDTHS[meta["width"]])
 
 
 def save_model(path: str, model: MxT) -> None:
-    from .checkpoint import save_checkpoint
-
     meta = encode_config(model.config, "model.")
     meta["width"] = width_of(model.dtype)
     save_checkpoint(path, meta, _state_tensors({"model": model}))
@@ -379,8 +374,6 @@ def save_model(path: str, model: MxT) -> None:
 def load_model(path: str):
     """Rebuild an MxT from a model or training checkpoint, reading only its
     model.* tensors; returns (model, meta)."""
-    from .checkpoint import load_checkpoint
-
     meta, tensors = load_checkpoint(path)
     model = _unloaded_model(path, meta)
     _load_state(path, {"model": model},

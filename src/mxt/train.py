@@ -15,7 +15,8 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Module
-from .data import batch_at
+from .checkpoint import SchemaError, load_checkpoint, save_checkpoint
+from .data import batch_at, folder_dataset, synthetic_dataset
 from .losses import (
     FeatureExtractor,
     LossWeights,
@@ -152,32 +153,9 @@ def _assemble_state(model: MxT, tcfg: TrainConfig, weights: LossWeights,
 def build_samples(tcfg: TrainConfig) -> list:
     """Materialize the training set a config describes (synthetic unless
     data_dir points at a directory of images)."""
-    from .data import (
-        BUCKET_CYCLE,
-        ImageSample,
-        MaskSpec,
-        generate_irregular_mask,
-        read_image,
-        synthetic_dataset,
-    )
-
-    if not tcfg.data_dir:
-        return synthetic_dataset(tcfg.data_count, tcfg.image_size,
-                                 tcfg.image_size, seed=tcfg.seed)
-    import os
-
-    names = sorted(n for n in os.listdir(tcfg.data_dir)
-                   if n.lower().endswith((".ppm", ".png")))
-    if not names:
-        raise ContractError(f"no .ppm/.png images in {tcfg.data_dir!r}")
-    samples = []
-    for i, name in enumerate(names):
-        img = read_image(os.path.join(tcfg.data_dir, name))
-        bucket = BUCKET_CYCLE[i % len(BUCKET_CYCLE)]
-        spec = MaskSpec(bucket=bucket, seed=tcfg.seed * 100003 + i)
-        res = generate_irregular_mask(spec, img.shape[1], img.shape[2])
-        samples.append(ImageSample(i_gt=img, mask=res.mask, bucket=bucket))
-    return samples
+    if tcfg.data_dir:
+        return folder_dataset(tcfg.data_dir, tcfg.seed)
+    return synthetic_dataset(tcfg.data_count, tcfg.image_size, tcfg.image_size, tcfg.seed)
 
 
 def _first_nonfinite(parts: dict) -> str | None:
@@ -267,8 +245,6 @@ def hole_l1(state: TrainState, samples) -> float:
 
 
 def save_train_state(path: str, state: TrainState) -> None:
-    from .checkpoint import save_checkpoint
-
     meta = flat_config(state.model.config, state.tcfg, state.weights,
                        width_of(state.model.dtype))
     meta["step"] = str(state.step)
@@ -279,8 +255,6 @@ def save_train_state(path: str, state: TrainState) -> None:
 
 
 def _meta_count(meta: dict, key: str, path: str) -> int:
-    from .checkpoint import SchemaError
-
     if key not in meta:
         raise SchemaError(f"{path}: no {key} in a training checkpoint")
     try:
@@ -295,8 +269,6 @@ def load_train_state(path: str) -> TrainState:
     Only the frozen extractor, which is never stored, is drawn from its fixed
     seed. The file must store exactly the tensors the state has a place for
     (no discriminator when the adversarial weight is 0), as for load_model."""
-    from .checkpoint import SchemaError, load_checkpoint
-
     meta, tensors = load_checkpoint(path)
     if "step" not in meta:
         raise SchemaError(f"{path}: not a training checkpoint (no step or optimizer state)")

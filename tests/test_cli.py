@@ -12,7 +12,7 @@ from mxt.cli import (
     main,
     scan_time_ratio,
 )
-from mxt.data import read_ppm, write_ppm, write_pgm
+from mxt.data import read_pgm, read_ppm, write_ppm, write_pgm
 from mxt.model import ModelConfig, MxT, save_model
 from mxt.tensor import ContractError
 
@@ -356,7 +356,6 @@ def test_mask_gen_writes_masks_and_manifest(tmp_path, capsys):
     assert "bucket=low" in manifest and "ratio=" in manifest
     assert "wrote 6 masks" in capsys.readouterr().out
     # every mask file parses back as binary
-    from mxt.data import read_pgm
     m = read_pgm(os.path.join(out_dir, pgms[0]))
     assert set(np.unique(m)) <= {0.0, 1.0}
 
@@ -479,3 +478,53 @@ def test_infer_checks_out_before_loading_the_model(tmp_path, monkeypatch, capsys
                  "--mask", "holes.pgm", "--out", out]) == 2
     assert f"--out {out}" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "missing")
+
+
+
+def _infer_inputs(tmp_path):
+    write_ppm(str(tmp_path / "in.ppm"), np.zeros((3, 16, 16)))
+    write_pgm(str(tmp_path / "holes.pgm"), np.zeros((1, 16, 16)))
+    return str(tmp_path / "in.ppm"), str(tmp_path / "holes.pgm")
+
+
+@pytest.mark.parametrize("flag,name", [("--out", "filled.png"), ("--out", "filled.pgm"),
+                                       ("--image", "in.pgm")])
+def test_infer_rejects_formats_before_inference(tiny_ckpt, tmp_path, monkeypatch, capsys,
+                                                flag, name):
+    # .png without pillow, the composited RGB output into a 1-channel .pgm,
+    # and a 1-channel .pgm input fail before any input is read or tile is run
+    import sys
+
+    import mxt.data
+    import mxt.model
+
+    image, mask = _infer_inputs(tmp_path)
+    write_pgm(str(tmp_path / "in.pgm"), np.zeros((1, 16, 16)))
+    monkeypatch.setitem(sys.modules, "PIL", None)  # pillow is not installed
+    monkeypatch.setattr(mxt.model, "tiled_inference", _no_work)
+    monkeypatch.setattr(mxt.data, "read_image", _no_work)
+    paths = {"--image": image, "--out": str(tmp_path / "filled.ppm")}
+    paths[flag] = str(tmp_path / name)
+    argv = ["infer", "--model", tiny_ckpt, "--mask", mask]
+    for key, path in paths.items():
+        argv += [key, path]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"{flag} {paths[flag]}" in capsys.readouterr().err
+
+
+def test_infer_raw_output_has_the_model_channels(tmp_path, monkeypatch, capsys):
+    import mxt.model
+
+    ckpt = str(tmp_path / "gray.ckpt")
+    cfg = ModelConfig(base_channels=4, hm_counts=(1,) * 7, output_channels=1)
+    save_model(ckpt, MxT(cfg, np.random.default_rng(0)))
+    image, mask = _infer_inputs(tmp_path)
+    infer = ["infer", "--model", ckpt, "--image", image, "--mask", mask, "--raw", "--out"]
+    assert main([*infer, str(tmp_path / "raw.pgm")]) == 0
+    assert read_pgm(str(tmp_path / "raw.pgm")).shape == (1, 16, 16)
+    monkeypatch.setattr(mxt.model, "tiled_inference", _no_work)
+    out = str(tmp_path / "raw.ppm")
+    capsys.readouterr()
+    assert main([*infer, out]) == 2
+    assert f"--out {out}" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Data layer: byte-exact image I/O, mask buckets, corpus and batch determinism."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,30 @@ def test_write_ppm_validates_shape(tmp_path):
 def test_read_image_dispatch_unknown_extension(tmp_path):
     with pytest.raises(ContractError):
         D.read_image(str(tmp_path / "x.bmp"))
+
+
+@pytest.mark.parametrize("path,channels,message", [
+    ("x.bmp", 3, "unsupported image extension '.bmp'"),
+    ("x.pgm", 3, "a .pgm file cannot hold a 3-channel image"),
+    ("x.ppm", 1, "a .ppm file cannot hold a 1-channel image"),
+    ("x.png", None, "PNG support needs the 'png' extra"),
+])
+def test_check_image_names_the_path_and_what_is_wrong(monkeypatch, path, channels, message):
+    monkeypatch.setitem(sys.modules, "PIL", None)  # pillow is not installed
+    with pytest.raises(ContractError, match=f"--out {path}: {message}"):
+        D.check_image(path, channels, "--out")
+    assert D.check_image("X.PGM", 1, "--out") == ".pgm"
+
+
+def test_image_files_hold_only_their_channels(tmp_path):
+    # read_image reads RGB only; a mask file is read with read_pgm
+    p = str(tmp_path / "m.pgm")
+    D.write_pgm(p, np.ones((1, 4, 4)))
+    with pytest.raises(ContractError, match="m.pgm"):
+        D.read_image(p)
+    with pytest.raises(ContractError, match="rgb.pgm"):
+        D.write_image(str(tmp_path / "rgb.pgm"), np.zeros((3, 4, 4)))
+    assert not (tmp_path / "rgb.pgm").exists()
 
 
 def test_png_roundtrip_when_pillow_present(tmp_path):

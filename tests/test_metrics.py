@@ -163,3 +163,15 @@ def test_report_renderers():
     lines = rep.render_lines()
     assert "image=0" in lines and "bucket=mid" in lines
     assert rec.render_lines() == ""
+
+
+def test_aggregate_counts_a_bucketless_record_once():
+    rng = np.random.default_rng(9)
+    gt = rng.random((3, 16, 16))
+    mask = np.ones((1, 16, 16))
+    rep = evaluate_pairs([(np.clip(gt + 0.05, 0, 1), gt, mask, ""), (gt, gt, mask, "low")],
+                         composited=True)
+    agg = rep.aggregate()
+    assert agg[""]["count"] == 2 and agg["low"]["count"] == 1
+    assert agg[""]["psnr"] == np.mean([r.psnr for r in rep.records])
+    assert ["all", "2"] in [line.split()[:2] for line in rep.render_table().splitlines()]

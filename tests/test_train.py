@@ -9,7 +9,15 @@ import pytest
 import mxt.tensor as T
 from mxt.blocks import Module
 from mxt.checkpoint import SchemaError, load_checkpoint, save_checkpoint
-from mxt.data import synthetic_dataset
+from mxt.data import (
+    MaskSpec,
+    generate_irregular_mask,
+    read_ppm,
+    synthetic_dataset,
+    synthetic_image,
+    write_pgm,
+    write_ppm,
+)
 from mxt.losses import LossWeights
 from mxt.model import WIDTHS, ModelConfig, MxT, save_model
 from mxt.tensor import DimensionError, NumericError, Tape, Tensor
@@ -17,6 +25,7 @@ from mxt.train import (
     Adam,
     TrainConfig,
     TrainState,
+    build_samples,
     hole_l1,
     init_train_state,
     load_train_state,
@@ -356,3 +365,37 @@ def test_train_loop_rejects_images_of_two_sizes_before_any_step():
     with pytest.raises(DimensionError, match="16x16 and 24x24"):
         train_loop(state, samples, target_steps=2)
     assert state.step == 0 and state.opt_g.t == 0
+
+
+def _recipe(images, seed):
+    # the sample recipe, written out: the mask of image i comes from bucket
+    # low/mid/high in turn and seed * 100003 + i
+    out = []
+    for i, img in enumerate(images):
+        bucket = ("low", "mid", "high")[i % 3]
+        res = generate_irregular_mask(MaskSpec(bucket, seed * 100003 + i), *img.shape[1:])
+        out.append((img, res.mask, bucket))
+    return out
+
+
+def _assert_samples_equal(samples, expected):
+    assert len(samples) == len(expected)
+    for s, (img, mask, bucket) in zip(samples, expected):
+        np.testing.assert_array_equal(s.i_gt, img)
+        np.testing.assert_array_equal(s.mask, mask)
+        assert s.bucket == bucket
+
+
+def test_build_samples_follows_the_sample_recipe(tmp_path):
+    samples = build_samples(TrainConfig(data_count=4, image_size=12, seed=5))
+    images = [synthetic_image(12, 12, np.random.default_rng([5, i])) for i in range(4)]
+    _assert_samples_equal(samples, _recipe(images, 5))
+    # a data directory: RGB files in name order, others skipped
+    rng = np.random.default_rng(1)
+    for name in ("c.ppm", "a.ppm", "B.PPM", "d.ppm"):
+        write_ppm(str(tmp_path / name), rng.random((3, 8, 8)))
+    write_pgm(str(tmp_path / "holes.pgm"), np.ones((1, 8, 8)))
+    (tmp_path / "notes.txt").write_text("not an image")
+    samples = build_samples(TrainConfig(data_dir=str(tmp_path), seed=2))
+    images = [read_ppm(str(tmp_path / n)) for n in ("B.PPM", "a.ppm", "c.ppm", "d.ppm")]
+    _assert_samples_equal(samples, _recipe(images, 2))
