@@ -238,9 +238,10 @@ class Srsa(Module):
         return self.qkv_dw(self.qkv(self.norm(x)))              # (B, 3C, H, W)
 
     def forward(self, x: Tensor) -> Tensor:
-        qkv = self._qkv(x)
-        # the local conv keeps its input, so only v is copied out of qkv
-        v = qkv[:, 2 * x.shape[1] :]
+        return T.recompute(self._mix, (self._qkv(x),), self.local.parameters())
+
+    def _mix(self, qkv: Tensor) -> Tensor:
+        v = qkv[:, 2 * qkv.shape[1] // 3 :]
         return self.local(v) + T.attention(qkv, self._heads, self._pooled, self._scale)
 
     def attention_map(self, x: Tensor) -> Tensor:
@@ -281,8 +282,11 @@ class MambaBlock(Module):
         if self._cfg.silu_after_conv:
             body = T.silu(body)
         body = scan_chunked(body, self.ssm, self._cfg.scan_chunk)
-        y = self.out(self.gate(seq) * body)                       # (B, L, C)
-        return T.reshape(T.transpose(y, (0, 2, 1)), (bsz, c, h, w))
+        y = T.recompute(self._gated_out, (self.gate(seq), body), self.out.parameters())
+        return T.reshape(T.transpose(y, (0, 2, 1)), (bsz, c, h, w))   # (B, C, H, W)
+
+    def _gated_out(self, gate: Tensor, body: Tensor) -> Tensor:
+        return self.out(gate * body)                               # (B, L, C)
 
 
 class Gdfn(Module):
@@ -304,7 +308,11 @@ class Gdfn(Module):
         self._broadcast = cfg.use_cbfn
 
     def forward(self, x: Tensor) -> Tensor:
-        y = self.project(T.gelu_gate(self.dw(self.expand(self.norm(x)))))
+        y = T.recompute(self._gated_project, (self.expand(self.norm(x)),),
+                        self.dw.parameters() + self.project.parameters())
         if self._broadcast:
             y = y + T.mean(y, axis=(2, 3), keepdims=True)
         return y
+
+    def _gated_project(self, y: Tensor) -> Tensor:
+        return self.project(T.gelu_gate(self.dw(y)))

@@ -198,16 +198,19 @@ def cmd_infer(args) -> int:
     from .model import composite, load_model, prepare_input, tiled_inference
 
     _require_file_path(args.out)
-    check_image(args.out, None, "--out")
+    # composited output takes the input's 3 channels; raw output the model's
+    check_image(args.out, None if args.raw else 3, "--out")
     check_image(args.image, 3, "--image")
-    model, _meta = load_model(args.model)
-    # composited output takes the input's 3 channels
-    check_image(args.out, model.config.output_channels if args.raw else 3, "--out")
+    if check_image(args.mask, 1, "--mask") != ".pgm":
+        raise ContractError(f"--mask {args.mask}: a mask is read as binary PGM, so must be .pgm")
     img = read_image(args.image)
     mask = read_pgm(args.mask)
     if mask.shape[1:] != img.shape[1:]:
         raise DimensionError(
             f"mask {mask.shape[1:]} does not match image {img.shape[1:]}")
+    model, _meta = load_model(args.model)
+    if args.raw:
+        check_image(args.out, model.config.output_channels, "--out")
     x = prepare_input(img, mask, dtype=model.dtype)
     out = tiled_inference(model, x, tile=args.tile, overlap=args.overlap)
     if not args.raw:
@@ -224,9 +227,9 @@ def cmd_eval(args) -> int:
 
     _require_at_least(1, ("--synthetic", args.synthetic), ("--image-size", args.image_size))
     seed = _resolve_seed(args.seed)
-    model, _meta = load_model(args.model)
     samples = build_samples(TrainConfig(data_count=args.synthetic, image_size=args.image_size,
                                         seed=seed, data_dir=args.data_dir or ""))
+    model, _meta = load_model(args.model)
 
     def pairs():
         for s in samples:

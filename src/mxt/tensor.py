@@ -130,6 +130,36 @@ def _contig(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _sweep(grads: dict) -> None:
+    """Sweep the active tape in reverse from the upstream gradients in
+    ``grads`` (keyed by tensor identity), as ``Tensor.backward`` and the
+    rerun inside ``recompute`` do: leaves accumulate ``.grad``, every node
+    passed is consumed and, when the sweep ends, taken off the tape. A
+    gradient meant for no node on the tape is left in ``grads``."""
+    nodes = active_tape().nodes
+    try:
+        for node in reversed(nodes):
+            g = grads.pop(id(node.out), None)
+            if g is None:
+                continue
+            input_grads = node.bwd(g)
+            for t, gi in zip(node.inputs, input_grads):
+                if gi is None or not t.requires_grad:
+                    continue
+                if t._node is None or t._node is _EXITED:
+                    t._accumulate_leaf(gi)
+                elif t._node is _SWEPT:
+                    raise ContractError("backward reached a tensor whose graph an "
+                                        "earlier backward() already swept")
+                else:
+                    prev = grads.get(id(t))
+                    grads[id(t)] = gi if prev is None else prev + gi
+            node.out._node = _SWEPT
+            node.out = node.inputs = node.bwd = None
+    finally:
+        nodes[:] = [node for node in nodes if node.bwd is not None]
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_node")
 
@@ -206,36 +236,16 @@ class Tensor:
                                 "call backward() inside its `with Tape()` block")
         if self._node is _SWEPT:
             raise ContractError("backward root was already swept; its graph is freed")
-        grads: dict[int, np.ndarray] = {id(self): np.ones((), dtype=self.data.dtype)}
+        seed = np.ones((), dtype=self.data.dtype)
         if self._node is None:
             # degenerate: the root is itself a leaf
-            self._accumulate_leaf(grads[id(self)])
+            self._accumulate_leaf(seed)
             return
-        nodes = active_tape().nodes
-        try:
-            for node in reversed(nodes):
-                g = grads.pop(id(node.out), None)
-                if g is None:
-                    continue
-                input_grads = node.bwd(g)
-                for t, gi in zip(node.inputs, input_grads):
-                    if gi is None or not t.requires_grad:
-                        continue
-                    if t._node is None or t._node is _EXITED:
-                        t._accumulate_leaf(gi)
-                    elif t._node is _SWEPT:
-                        raise ContractError("backward reached a tensor whose graph an "
-                                            "earlier backward() already swept")
-                    else:
-                        prev = grads.get(id(t))
-                        grads[id(t)] = gi if prev is None else prev + gi
-                node.out._node = _SWEPT
-                node.out = node.inputs = node.bwd = None
-            if id(self) in grads:
-                raise ContractError("backward root is not on the active tape; call "
-                                    "backward() under the `with Tape()` that recorded it")
-        finally:
-            nodes[:] = [node for node in nodes if node.bwd is not None]
+        grads = {id(self): seed}
+        _sweep(grads)
+        if id(self) in grads:
+            raise ContractError("backward root is not on the active tape; call "
+                                "backward() under the `with Tape()` that recorded it")
 
     def _accumulate_leaf(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -320,12 +330,14 @@ def _make(out_data: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
 
     A ``bwd`` closure must use the arrays the forward pass saw, bound at
     record time, never ``t.data`` read later: an optimizer step between
-    forward and backward rebinds parameter data. (Writing into a recorded
-    array in place would still change the gradient; nothing here does.)
+    forward and backward rebinds parameter data. A recorded output is made
+    read-only, since a later op may save it and a write into it would
+    silently change that op's gradient.
     """
     rg = needs_grad(inputs)
     out = Tensor(out_data, requires_grad=rg)
     if rg:
+        out.data.flags.writeable = False
         node = Node(out, inputs, bwd)
         out._node = node
         active_tape().nodes.append(node)
@@ -1110,3 +1122,45 @@ def attention(qkv: Tensor, heads: int, pooled: int, scale: float | None = None) 
         return (gqkv,)
 
     return _make(out, (qkv,), bwd)
+
+
+# ---- recomputation -----------------------------------------------------------------
+
+
+def recompute(fn: Callable, inputs: Sequence[Tensor], params: Sequence[Tensor]) -> Tensor:
+    """``fn(*inputs)`` as one node that keeps only ``inputs``, where
+    ``params`` are the parameters ``fn`` reads: activation checkpointing
+    (Chen et al., arXiv 1604.06174).
+
+    Unless the result is to be recorded, this is a plain call of ``fn``.
+    Otherwise the forward runs ``fn`` under ``no_grad``, so nothing inside
+    it is kept, and records one node when any input or any parameter needs
+    grad; a constant input therefore still leaves the parameters a
+    gradient. Backward binds each parameter's forward-time data back, reruns
+    ``fn`` on fresh leaves over the saved inputs under its own ``Tape`` and
+    sweeps that tape from the upstream gradient exactly as received. The
+    inputs' gradients are the leaves' ``.grad``; the parameters receive
+    theirs as leaves of that inner sweep. The rerun repeats the forward's
+    arithmetic, so values and gradients equal those of recording ``fn``.
+    """
+    inputs, params = tuple(inputs), tuple(params)
+    if not needs_grad(inputs + params):
+        return fn(*inputs)
+    with no_grad():
+        out = fn(*inputs)
+    saved, then = tuple(t.data for t in inputs), tuple(p.data for p in params)
+
+    def bwd(g):
+        leaves = tuple(Tensor(d, requires_grad=t.requires_grad) for t, d in zip(inputs, saved))
+        now = tuple(p.data for p in params)
+        try:
+            for p, d in zip(params, then):
+                p.data = d
+            with Tape():
+                _sweep({id(fn(*leaves)): g})
+        finally:
+            for p, d in zip(params, now):
+                p.data = d
+        return tuple(leaf.grad for leaf in leaves) + (None,) * len(params)
+
+    return _make(out.data, inputs + params, bwd)

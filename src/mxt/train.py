@@ -92,6 +92,12 @@ class Adam(object):
         self.v = {n: np.zeros_like(p.data) for n, p in self.params.items()}
 
     def step(self):
+        """One update per parameter with a gradient, through two scratch
+        arrays: ``s`` and ``u``, which becomes the parameter's new data. The
+        ops and their order are those of ``m = b1*m + (1-b1)*g``,
+        ``v = b2*v + (1-b2)*g*g``, ``p - lr*(m/bc1) / (sqrt(v/bc2) + eps)``,
+        so the values are too. The data is rebound, never written, so a
+        node recorded before the step keeps the forward-time array."""
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
@@ -101,11 +107,21 @@ class Adam(object):
             g = p.grad
             m = self.m[name]
             v = self.v[name]
+            s = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += s
+            np.multiply(g, g, out=s)
+            s *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += s
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            u = np.divide(m, bc1)
+            u *= self.lr
+            u /= s
+            np.subtract(p.data, u, out=u)
+            p.data = u
 
 
 @dataclass

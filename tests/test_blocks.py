@@ -9,6 +9,7 @@ import mxt.tensor as T
 from mxt.gradcheck import check_module_gradients
 from mxt.model import HybridModule, ModelConfig
 from mxt.tensor import Tensor
+from mxt.train import Adam, TrainConfig
 
 
 def rng(seed=0):
@@ -414,17 +415,72 @@ def test_each_layer_records_one_node(make, shape):
 
 
 def test_sub_block_tape_budget():
-    # pinned at the fused layers: norm, convs and the gelu gate are one node
-    # each; context broadcast adds a mean and an add
-    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=False), rng(43)), (1, 8, 8, 8)) == 5
-    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=True), rng(43)), (1, 8, 8, 8)) == 7
-    # Srsa: norm, qkv, qkv_dw, the v slice, local, attention and the sum;
-    # the attention term is one node with or without the scale
-    assert _recorded_nodes(B.Srsa(8, ModelConfig(), rng(44)), (1, 8, 8, 8)) == 7
-    assert _recorded_nodes(B.Srsa(8, ModelConfig(scale_qk=True), rng(44)), (1, 8, 8, 8)) == 7
+    # pinned at the fused layers: norm and convs are one node each, and the
+    # dw -> gelu gate -> project chain is one recompute node; context
+    # broadcast adds a mean and an add
+    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=False), rng(43)), (1, 8, 8, 8)) == 3
+    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=True), rng(43)), (1, 8, 8, 8)) == 5
+    # Srsa: norm, qkv, qkv_dw, and one recompute node for the v slice, local,
+    # attention and the sum, with or without the scale
+    assert _recorded_nodes(B.Srsa(8, ModelConfig(), rng(44)), (1, 8, 8, 8)) == 4
+    assert _recorded_nodes(B.Srsa(8, ModelConfig(scale_qk=True), rng(44)), (1, 8, 8, 8)) == 4
     # every Linear and the scan's dt projection are one linear node, their
-    # silu or softplus included
-    assert _recorded_nodes(B.MambaBlock(8, ModelConfig(), rng(44)), (1, 8, 4, 4)) == 17
+    # silu or softplus included; the gate product and the output projection
+    # are one recompute node
+    assert _recorded_nodes(B.MambaBlock(8, ModelConfig(), rng(44)), (1, 8, 4, 4)) == 16
+
+
+# ---- recomputed chains ------------------------------------------------------------------
+
+
+_SUB_BLOCKS = {
+    "srsa": (lambda d: B.Srsa(8, ModelConfig(), rng(80), dtype=d), (2, 8, 8, 8)),
+    "mamba": (lambda d: B.MambaBlock(8, ModelConfig(), rng(81), dtype=d), (2, 8, 4, 4)),
+    "gdfn": (lambda d: B.Gdfn(8, ModelConfig(), rng(82), dtype=d), (2, 8, 8, 8)),
+}
+
+
+def _sub_block_grads(name, dtype, step=None):
+    """Output, input gradient and parameter gradients of a fresh sub-block;
+    ``step`` runs between forward and backward."""
+    make, shape = _SUB_BLOCKS[name]
+    blk = make(dtype)
+    x = Tensor(rng(83).standard_normal(shape).astype(dtype), requires_grad=True)
+    w = rng(84).standard_normal(shape).astype(dtype)
+    with T.Tape():
+        y = blk(x)
+        loss = T.sum_(y * Tensor(w))
+        if step is not None:
+            step(blk)
+        loss.backward()
+    return [y.data, x.grad] + [p.grad for p in blk.parameters()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_SUB_BLOCKS))
+def test_recomputed_sub_block_equals_the_recorded_chain(name, dtype, monkeypatch):
+    got = _sub_block_grads(name, dtype)
+    monkeypatch.setattr(T, "recompute", lambda fn, inputs, params: fn(*inputs))
+    want = _sub_block_grads(name, dtype)
+    assert len(got) == len(want)
+    for i, (a, e) in enumerate(zip(got, want)):
+        assert a is not None and np.array_equal(a, e), i
+
+
+@pytest.mark.parametrize("name", sorted(_SUB_BLOCKS))
+def test_optimizer_step_between_forward_and_backward_keeps_forward_time_grads(name):
+    def adam_step(blk):
+        # a real Adam update rebinds every parameter's data
+        for p in blk.parameters():
+            p.grad = np.ones_like(p.data)
+        Adam(blk, TrainConfig(lr=0.1)).step()
+        for p in blk.parameters():
+            p.grad = None
+
+    want = _sub_block_grads(name, np.float32)
+    got = _sub_block_grads(name, np.float32, step=adam_step)
+    for i, (a, e) in enumerate(zip(got, want)):
+        assert np.array_equal(a, e), i
 
 
 # ---- one description: the sub-blocks read ModelConfig --------------------------------

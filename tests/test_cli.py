@@ -487,6 +487,31 @@ def _infer_inputs(tmp_path):
     return str(tmp_path / "in.ppm"), str(tmp_path / "holes.pgm")
 
 
+@pytest.mark.parametrize("mask", ["in.ppm", "holes.png", "missing.pgm", "small.pgm"])
+def test_infer_checks_and_reads_the_mask_before_loading_the_model(tmp_path, monkeypatch,
+                                                                  capsys, mask):
+    # a mask of the wrong format, a missing one, or one of the wrong size
+    import mxt.model
+
+    image, _ = _infer_inputs(tmp_path)
+    write_pgm(str(tmp_path / "small.pgm"), np.zeros((1, 8, 8)))
+    monkeypatch.setattr(mxt.model, "load_model", _no_work)
+    path = str(tmp_path / mask)
+    assert main(["infer", "--model", str(tmp_path / "run.ckpt"), "--image", image,
+                 "--mask", path, "--out", str(tmp_path / "filled.ppm")]) == 2
+    err = capsys.readouterr().err
+    assert (path in err) or ("does not match" in err)
+
+
+def test_eval_reads_the_data_dir_before_loading_the_model(tmp_path, monkeypatch, capsys):
+    import mxt.model
+
+    monkeypatch.setattr(mxt.model, "load_model", _no_work)
+    missing = str(tmp_path / "missing")
+    assert main(["eval", "--model", str(tmp_path / "run.ckpt"), "--data-dir", missing]) == 2
+    assert missing in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,name", [("--out", "filled.png"), ("--out", "filled.pgm"),
                                        ("--image", "in.pgm")])
 def test_infer_rejects_formats_before_inference(tiny_ckpt, tmp_path, monkeypatch, capsys,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mxt.tensor as T
-from mxt.tensor import Tensor, Tape, ContractError, DimensionError, NumericError
+from mxt.tensor import Tensor, Tape, ContractError, DimensionError, NumericError, no_grad
 from mxt.gradcheck import check_function, fd_gradients, relative_error
 
 TOL = 1e-6  # FD vs tape at float64, h=1e-5
@@ -691,6 +691,113 @@ def test_backward_after_tape_exit_raises():
     with pytest.raises(ContractError, match="exited"):
         y.backward()
     assert x.grad is None and y.grad is None
+
+
+# ---- recompute, read-only recorded outputs -------------------------------------
+
+
+def _affine_tanh(w, b):
+    # a two-parameter chain for recompute: tanh(x @ w + b) * x
+    return lambda x: T.tanh(T.linear(x, w, b)) * x
+
+
+def test_recompute_gradients_match_fd():
+    def build(x, w, b):
+        return T.sum_(T.recompute(_affine_tanh(w, b), (x,), (w, b)))
+    check(build, rng(60).standard_normal((3, 4)), rng(61).standard_normal((4, 4)),
+          rng(62).standard_normal(4))
+
+
+def test_recompute_records_one_node_and_frees_the_chain():
+    w = Tensor(rng(63).standard_normal((4, 4)), requires_grad=True, dtype=np.float64)
+    b = Tensor(rng(64).standard_normal(4), requires_grad=True, dtype=np.float64)
+    x = Tensor(rng(65).standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
+    with Tape() as tape:
+        y = T.recompute(_affine_tanh(w, b), (x,), (w, b))
+        assert len(tape) == 1
+        assert tape.nodes[0].inputs == (x, w, b)
+        assert tape.nodes[0].bwd.__qualname__ == "recompute.<locals>.bwd"
+        T.sum_(y).backward()
+        assert len(tape) == 0
+    # without a tape, or under no_grad, it is a plain call of fn
+    plain = _affine_tanh(w, b)(x)
+    with no_grad():
+        np.testing.assert_array_equal(T.recompute(_affine_tanh(w, b), (x,), (w, b)).data,
+                                      plain.data)
+
+
+def test_recompute_with_a_constant_input_still_gives_parameter_gradients():
+    # no input needs grad, but the parameters do: the node must be recorded
+    w = Tensor(rng(66).standard_normal((4, 4)), requires_grad=True, dtype=np.float64)
+    b = Tensor(rng(67).standard_normal(4), requires_grad=True, dtype=np.float64)
+    x = Tensor(rng(68).standard_normal((3, 4)), dtype=np.float64)
+    with Tape():
+        T.sum_(_affine_tanh(w, b)(x)).backward()
+    want = w.grad, b.grad
+    w.grad = b.grad = None
+    with Tape() as tape:
+        y = T.recompute(_affine_tanh(w, b), (x,), (w, b))
+        assert len(tape) == 1
+        T.sum_(y).backward()
+    np.testing.assert_array_equal(w.grad, want[0])
+    np.testing.assert_array_equal(b.grad, want[1])
+    assert x.grad is None
+
+
+def test_nested_recompute_matches_the_recorded_chain():
+    w = Tensor(rng(69).standard_normal((4, 4)), requires_grad=True, dtype=np.float64)
+    b = Tensor(rng(70).standard_normal(4), requires_grad=True, dtype=np.float64)
+    inner = _affine_tanh(w, b)
+
+    def outer(x, z):
+        return T.recompute(inner, (x * z,), (w, b)) + T.exp(z)
+
+    def grads(run):
+        x = Tensor(rng(71).standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
+        z = Tensor(rng(72).standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
+        w.grad = b.grad = None
+        with Tape():
+            T.sum_(run(x, z)).backward()
+        return x.grad, z.grad, w.grad, b.grad
+
+    want = grads(lambda x, z: inner(x * z) + T.exp(z))
+    got = grads(lambda x, z: T.recompute(outer, (x, z), (w, b)))
+    for a, e in zip(got, want):
+        np.testing.assert_array_equal(a, e)
+
+
+def test_recompute_backward_uses_forward_time_parameters():
+    # an optimizer step rebinds .data between forward and backward; the rerun
+    # must see the forward-time weights, and the new ones must stay bound
+    def grads(rebind):
+        w = Tensor(rng(73).standard_normal((4, 4)), requires_grad=True, dtype=np.float64)
+        b = Tensor(rng(74).standard_normal(4), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng(75).standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
+        with Tape():
+            y = T.sum_(T.recompute(_affine_tanh(w, b), (x,), (w, b)))
+            moved = w.data * 10.0
+            if rebind:
+                w.data = moved
+            y.backward()
+        if rebind:
+            assert w.data is moved
+        return x.grad, w.grad, b.grad
+
+    for clean, moved in zip(grads(False), grads(True)):
+        np.testing.assert_array_equal(clean, moved)
+
+
+def test_recorded_outputs_are_read_only():
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    with Tape():
+        y = T.exp(x)
+        with pytest.raises(ValueError, match="read-only"):
+            y.data += 1.0
+        T.sum_(y).backward()
+    np.testing.assert_allclose(x.grad, np.e)
+    # nothing recorded, nothing frozen
+    assert T.exp(x).data.flags.writeable
+    assert x.data.flags.writeable
 
 
 def test_softplus_float32_tails_are_finite_and_quiet():
