@@ -24,7 +24,9 @@ matmul plus bias, optionally followed by silu or softplus) and
 ``attention`` takes spatial-reduced attention from its qkv input to its
 output in one node. Whatever backward can cheaply rebuild from the inputs
 (a pre-activation, a normalized input, pooled keys and values, softmax
-weights) it recomputes rather than keeps.
+weights) it recomputes rather than keeps; ``recompute`` does the same for
+any chain of ops, keeping only the chain's inputs. A recorded output is
+read-only.
 
 Two float widths exist: float32 (standard) and float64 (wide). float32 is
 the fixed default: layers are float64 only when built with
@@ -824,12 +826,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int, stride: int = 1,
     ``w`` is (k*k*cin, cout), row (dy*k + dx)*cin + ci holding tap (dy, dx) of
     input channel ci; ``b`` is (cout,). The output w^T @ im2col(x) lands in
     (B, cout, oh*ow) order, so NCHW needs no transpose. The forward builds
-    the columns for one band of output rows at a time, each about
+    the columns of one sample's band of output rows at a time, each about
     ``_COLUMN_BYTES`` (a 1x1 stride-1 conv takes all rows as one band, its
     columns a view of x), and writes each band's product straight into the
-    output; every output element keeps its whole k*k*cin contraction, so the
-    banding does not change a value. Backward rebuilds all the columns for
-    dw and scatter-adds w @ g back onto x (col2im).
+    output. The bands depend only on one sample's shape, so a sample's
+    output does not depend on the batch size, and every output element
+    keeps its whole k*k*cin contraction. Backward rebuilds all the columns
+    for dw and scatter-adds w @ g back onto x (col2im).
     """
     inputs = _layer_inputs("conv2d", x, w, b)
     if x.ndim != 4:
@@ -847,11 +850,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int, stride: int = 1,
     if k == 1 and stride == 1:
         band = oh
     else:
-        band = max(1, _COLUMN_BYTES // (bsz * k * k * cin * ow * x.data.itemsize))
+        band = max(1, _COLUMN_BYTES // (k * k * cin * ow * x.data.itemsize))
     out = np.empty((bsz, cout, oh * ow), dtype=x.data.dtype)
-    for r in range(0, oh, band):
-        rows = range(r, min(r + band, oh))
-        np.matmul(wt, _im2col(xp, k, stride, rows, ow), out=out[:, :, r * ow : rows.stop * ow])
+    for i in range(bsz):
+        for r in range(0, oh, band):
+            rows = range(r, min(r + band, oh))
+            np.matmul(wt, _im2col(xp[i : i + 1], k, stride, rows, ow)[0],
+                      out=out[i, :, r * ow : rows.stop * ow])
     out += b.data[:, None]
     out = out.reshape(bsz, cout, oh, ow)
 

@@ -72,9 +72,9 @@ def test_conv2d_matches_oracle(stride, pad):
 
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_row_bands_equal_one_matmul_over_all_columns(monkeypatch, stride):
-    # bands of 2 output rows: 9 rows at stride 1 and 5 at stride 2, so the
-    # last band is ragged; pad 1 puts zeros at both edges of the first and
-    # last band
+    # bands of 2 output rows of each sample: 9 rows at stride 1 and 5 at
+    # stride 2, so the last band is ragged; pad 1 puts zeros at both edges of
+    # the first and last band
     k, pad = 3, 1
     r = rng(46)
     x = r.standard_normal((2, 3, 9, 7)).astype(np.float32)
@@ -94,10 +94,24 @@ def test_conv2d_row_bands_equal_one_matmul_over_all_columns(monkeypatch, stride)
         return im2col(xp, k, stride, rows, ow)
 
     monkeypatch.setattr(T, "_im2col", spy)
-    monkeypatch.setattr(T, "_COLUMN_BYTES", 2 * 2 * k * k * 3 * ow * 4)
+    monkeypatch.setattr(T, "_COLUMN_BYTES", 2 * k * k * 3 * ow * 4)
     got = T.conv2d(Tensor(x), Tensor(w), Tensor(b), k, stride, pad).data
-    assert bands == [range(r0, min(r0 + 2, oh)) for r0 in range(0, oh, 2)]
+    assert bands == [range(r0, min(r0 + 2, oh)) for r0 in range(0, oh, 2)] * 2
     assert np.array_equal(got, ref.reshape(2, 5, oh, ow))
+
+
+@pytest.mark.parametrize("bsz", [4, 8])
+def test_conv2d_output_does_not_depend_on_batch_size(bsz):
+    # a 3x3 conv from 64 to 32 channels at 16^2: one sample's columns fit one
+    # band, so a stacked batch must equal one call per sample
+    r = rng(47)
+    x = r.standard_normal((bsz, 64, 16, 16)).astype(np.float32)
+    w = Tensor(r.standard_normal((9 * 64, 32)).astype(np.float32))
+    b = Tensor(r.standard_normal(32).astype(np.float32))
+    got = T.conv2d(Tensor(x), w, b, 3, 1, 1).data
+    each = np.concatenate([T.conv2d(Tensor(x[i : i + 1]), w, b, 3, 1, 1).data
+                           for i in range(bsz)])
+    assert np.array_equal(got, each)
 
 
 def test_conv1x1_matches_oracle():
