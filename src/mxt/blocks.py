@@ -7,7 +7,9 @@ tensor op with a hand-written backward, so it records one tape node that
 keeps only its inputs; the sub-blocks compose those layers with generic tape
 ops, the feed-forward's gate is the one-node ``gelu_gate``, the attention
 term is the one-node ``attention`` and every Linear applies its activation
-within its own node. Every MambaBlock reads its
+within its own node. Each sub-block runs its largest cheap-to-rebuild chain
+through ``recompute``, which keeps only the chain's inputs and reruns it in
+backward. Every MambaBlock reads its
 positional table from one shared cache, one constant table per (L, C, dtype).
 """
 
@@ -238,9 +240,9 @@ class Srsa(Module):
         return self.qkv_dw(self.qkv(self.norm(x)))              # (B, 3C, H, W)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.recompute(self._mix, (self._qkv(x),), self.local.parameters())
+        return T.recompute(self._local_plus_attention, (self._qkv(x),), self.local.parameters())
 
-    def _mix(self, qkv: Tensor) -> Tensor:
+    def _local_plus_attention(self, qkv: Tensor) -> Tensor:
         v = qkv[:, 2 * qkv.shape[1] // 3 :]
         return self.local(v) + T.attention(qkv, self._heads, self._pooled, self._scale)
 
