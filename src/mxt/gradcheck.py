@@ -11,7 +11,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tape, Tensor, no_grad
+from .tensor import Tape, Tensor, no_grad, sum_
 
 
 def fd_gradients(f: Callable[..., float], arrays: Sequence[np.ndarray], h: float = 1e-5):
@@ -95,7 +95,7 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, forward=None)
 
     def objective() -> Tensor:
         y = forward(module, xt)
-        return (y * Tensor(_reduce_weights(y.shape), dtype=np.float64)).sum()
+        return sum_(y * Tensor(_reduce_weights(y.shape), dtype=np.float64))
 
     def value(x_, *arrays) -> float:
         # the module reads the perturbed copies in place of its own arrays

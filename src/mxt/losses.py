@@ -100,20 +100,19 @@ def gram_matrix(f: Tensor) -> Tensor:
     return g / float(c * h * w)
 
 
-def style_loss(feats_out: list, feats_gt: list) -> Tensor:
-    terms = [l1_loss(gram_matrix(a), gram_matrix(b)) for a, b in zip(feats_out, feats_gt)]
+def _average(terms: list) -> Tensor:
     total = terms[0]
     for t in terms[1:]:
         total = total + t
     return total / len(terms)
+
+
+def style_loss(feats_out: list, feats_gt: list) -> Tensor:
+    return _average([l1_loss(gram_matrix(a), gram_matrix(b)) for a, b in zip(feats_out, feats_gt)])
 
 
 def perceptual_loss(feats_out: list, feats_gt: list) -> Tensor:
-    terms = [l1_loss(a, b) for a, b in zip(feats_out, feats_gt)]
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total / len(terms)
+    return _average([l1_loss(a, b) for a, b in zip(feats_out, feats_gt)])
 
 
 def adversarial_g_from_logits(fake_logits: Tensor, mode: str) -> Tensor:

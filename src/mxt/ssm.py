@@ -103,11 +103,11 @@ def zoh_gain(a: Tensor, delta: Tensor) -> Tensor:
     _check_delta(delta.data, "zoh")
     phi = _zoh_phi(a.data, delta.data, delta.data * a.data)
 
-    def bwd(g, ad=a.data, dd=delta.data):
+    def bwd(g, ad, dd):
         x = dd * ad
         ex = np.exp(x)
-        ga = T._unbroadcast(g * _zoh_dphi_da(ad, dd, x, phi, ex), a.shape) if a.requires_grad else None
-        gd = T._unbroadcast(g * ex, delta.shape) if delta.requires_grad else None
+        ga = T._unbroadcast(g * _zoh_dphi_da(ad, dd, x, phi, ex), ad.shape) if a.requires_grad else None
+        gd = T._unbroadcast(g * ex, dd.shape) if delta.requires_grad else None
         return ga, gd
 
     return T._make(phi, (a, delta), bwd)
@@ -272,7 +272,7 @@ def scan_recurrence(x: Tensor, delta: Tensor, a: Tensor, b: Tensor, c: Tensor,
         _time_major(y)[s:e] = y_chunk
         carry = h[-1]
 
-    def bwd(gy, xd=xd, dd=dd, a_t=a_t, bd=bd, cd=cd):
+    def bwd(gy, *_):
         gy = _time_major(np.asarray(gy))
         gx, gd = (np.empty((bsz, L, E), xd.dtype) for _ in range(2))
         gb, gc = (np.empty((bsz, L, N), xd.dtype) for _ in range(2))

@@ -1,20 +1,25 @@
 """Reverse-mode autodiff over numpy arrays with an explicit tape.
 
-Ops record only inside an open ``with Tape()`` block: each differentiable op
-then appends one node to that tape (a Wengert list, recorded in execution
-order, which is already topologically sorted). Outside any tape, or under
-``no_grad``, ops produce constant tensors and record nothing.
+Ops record only while the innermost open ``with Tape()`` or ``no_grad()``
+block is a tape: each differentiable op then appends one node to that tape
+(a Wengert list, recorded in execution order, which is already
+topologically sorted). Outside every tape, or when ``no_grad`` is the
+innermost block, ops produce constant tensors and record nothing. A node
+keeps its inputs' arrays as the forward saw them and hands them to its
+backward closure, so an optimizer step that rebinds a parameter's data
+between forward and backward cannot change the gradient.
 
 ``backward`` sweeps the tape once in reverse, accumulating gradients into a
 dict keyed by tensor identity, so fan-out is handled by plain addition. A
 node lives only as long as a sweep can still use it: once ``backward`` has
-passed it, its closure, output and inputs are released and it leaves the
-tape, so memory falls during the sweep. A second sweep through a consumed
-node raises ``ContractError``; leaf ``.grad``s accumulate across sweeps of
-separate graphs. Nodes a sweep did not reach stay until the tape exits. A
-root recorded on another tape than the innermost open one raises
-``ContractError`` instead of sweeping nothing. The open tapes and the
-``no_grad`` switch are context variables, so each thread records on its own.
+passed it, its closure, output, inputs and saved arrays are released and
+it leaves the tape, so memory falls during the sweep. A second sweep
+through a consumed node raises ``ContractError``; leaf ``.grad``s
+accumulate across sweeps of separate graphs. Nodes a sweep did not reach
+stay until the tape exits. A root recorded on another tape than the
+innermost open one raises ``ContractError`` instead of sweeping nothing.
+The open tapes and ``no_grad`` blocks form one stack held in a context
+variable, so each thread records on its own.
 
 Besides the elementwise, reduction and shape ops, each layer is one fused
 op with a hand-written backward that keeps only its inputs: ``conv2d``,
@@ -23,10 +28,9 @@ matmul plus bias, optionally followed by silu or softplus) and
 ``gelu_gate``, the gelu-gated product of a tensor's two channel halves.
 ``attention`` takes spatial-reduced attention from its qkv input to its
 output in one node. Whatever backward can cheaply rebuild from the inputs
-(a pre-activation, a normalized input, pooled keys and values, softmax
-weights) it recomputes rather than keeps; ``recompute`` does the same for
-any chain of ops, keeping only the chain's inputs. A recorded output is
-read-only.
+(a pre-activation, a normalized input) it recomputes rather than keeps;
+``recompute`` does the same for any chain of ops, keeping only the chain's
+inputs. A recorded output is read-only.
 
 Two float widths exist: float32 (standard) and float64 (wide). float32 is
 the fixed default: layers are float64 only when built with
@@ -59,17 +63,20 @@ class NumericError(ArithmeticError):
 _ALLOWED = (np.float32, np.float64)
 
 class Node:
-    """One recorded op: output tensor, input tensors, and a backward closure.
+    """One recorded op: output tensor, input tensors, the inputs' arrays as
+    the forward saw them (``saved``), and a backward closure.
 
-    ``bwd`` maps the upstream gradient (ndarray, shape of ``out``) to a tuple
-    of gradients aligned with ``inputs`` (entries may be None).
+    ``bwd(g, *saved)`` maps the upstream gradient (ndarray, shape of ``out``)
+    and those arrays to a tuple of gradients aligned with ``inputs`` (entries
+    may be None).
     """
 
-    __slots__ = ("out", "inputs", "bwd")
+    __slots__ = ("out", "inputs", "saved", "bwd")
 
     def __init__(self, out: "Tensor", inputs: tuple, bwd: Callable):
         self.out = out
         self.inputs = inputs
+        self.saved = tuple(t.data for t in inputs)
         self.bwd = bwd
 
 
@@ -102,27 +109,30 @@ _EXITED = Node(None, (), None)
 # ``Tensor._node`` of an op output whose node a backward sweep has consumed
 _SWEPT = Node(None, (), None)
 
-# Per context, so per thread: the open tapes above the base tape, which
-# stays empty (ops record only while a ``with Tape()`` is open), and whether
-# recording is on.
+# Per context, so per thread: the open ``Tape()`` and ``no_grad()`` blocks,
+# innermost last, a ``no_grad`` as None. Ops record only when the innermost
+# entry is a tape.
 _tape_stack: contextvars.ContextVar[tuple] = contextvars.ContextVar(
-    "mxt_tape_stack", default=(Tape(),))
-_grad_enabled: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "mxt_grad_enabled", default=True)
+    "mxt_tape_stack", default=())
+# what ``active_tape`` returns outside every tape; nothing records on it
+_NO_TAPE = Tape()
 
 
 def active_tape() -> Tape:
-    return _tape_stack.get()[-1]
+    """The innermost open tape, which ``backward`` sweeps, even under a
+    ``no_grad`` opened inside it."""
+    return next((t for t in reversed(_tape_stack.get()) if t is not None), _NO_TAPE)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable recording in this thread; ops inside produce constant tensors."""
-    token = _grad_enabled.set(False)
+    """Disable recording in this thread until the block ends or a ``Tape``
+    opens inside it; ops inside produce constant tensors."""
+    token = _tape_stack.set(_tape_stack.get() + (None,))
     try:
         yield
     finally:
-        _grad_enabled.reset(token)
+        _tape_stack.reset(token)
 
 
 def _contig(arr: np.ndarray) -> np.ndarray:
@@ -144,7 +154,7 @@ def _sweep(grads: dict) -> None:
             g = grads.pop(id(node.out), None)
             if g is None:
                 continue
-            input_grads = node.bwd(g)
+            input_grads = node.bwd(g, *node.saved)
             for t, gi in zip(node.inputs, input_grads):
                 if gi is None or not t.requires_grad:
                     continue
@@ -157,7 +167,7 @@ def _sweep(grads: dict) -> None:
                     prev = grads.get(id(t))
                     grads[id(t)] = gi if prev is None else prev + gi
             node.out._node = _SWEPT
-            node.out = node.inputs = node.bwd = None
+            node.out = node.inputs = node.saved = node.bwd = None
     finally:
         nodes[:] = [node for node in nodes if node.bwd is not None]
 
@@ -211,9 +221,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Constant view of the same data, cut off from the tape."""
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # ---- autodiff -------------------------------------------------------
 
@@ -288,24 +295,6 @@ class Tensor:
     def __getitem__(self, idx):
         return index(self, idx)
 
-    # ---- method forms -----------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *perm):
-        if len(perm) == 1 and isinstance(perm[0], (tuple, list)):
-            perm = tuple(perm[0])
-        return transpose(self, perm if perm else None)
-
 
 def _coerce(value, like: Tensor) -> Tensor:
     """Wrap a python scalar / ndarray as a constant of the partner's width."""
@@ -323,17 +312,18 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 def needs_grad(inputs: tuple) -> bool:
     """Whether an op on these inputs gets recorded for backward."""
-    return (_grad_enabled.get() and len(_tape_stack.get()) > 1
-            and any(t.requires_grad for t in inputs))
+    stack = _tape_stack.get()
+    return bool(stack) and stack[-1] is not None and any(t.requires_grad for t in inputs)
 
 
 def _make(out_data: np.ndarray, inputs: tuple, bwd: Callable) -> Tensor:
     """Build the output tensor and record a node if grad flow is live.
 
-    A ``bwd`` closure must use the arrays the forward pass saw, bound at
-    record time, never ``t.data`` read later: an optimizer step between
-    forward and backward rebinds parameter data. A recorded output is made
-    read-only, since a later op may save it and a write into it would
+    ``bwd`` is called as ``bwd(g, *arrays)`` with the inputs' arrays the
+    node saved at record time; it must never read ``t.data`` off a tensor,
+    since an optimizer step between forward and backward rebinds parameter
+    data. It may close over arrays the forward derived. A recorded output is
+    made read-only, since a later op may save it and a write into it would
     silently change that op's gradient.
     """
     rg = needs_grad(inputs)
@@ -373,9 +363,9 @@ def _binary(a, b, op: str, fwd, da, db) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from e
 
-    def bwd(g, ad=a.data, bd=b.data):
-        ga = _unbroadcast(da(g, ad, bd), a.shape) if a.requires_grad else None
-        gb = _unbroadcast(db(g, ad, bd), b.shape) if b.requires_grad else None
+    def bwd(g, ad, bd):
+        ga = _unbroadcast(da(g, ad, bd), ad.shape) if a.requires_grad else None
+        gb = _unbroadcast(db(g, ad, bd), bd.shape) if b.requires_grad else None
         return ga, gb
 
     return _make(out, (a, b), bwd)
@@ -408,7 +398,7 @@ def _unary(x: Tensor, fwd, dfd) -> Tensor:
     """dfd(g, x_data, out_data) -> grad wrt x."""
     out = fwd(x.data)
 
-    def bwd(g, xd=x.data):
+    def bwd(g, xd):
         return (dfd(g, xd, out),)
 
     return _make(out, (x,), bwd)
@@ -517,10 +507,11 @@ def gelu_gate(y: Tensor) -> Tensor:
     out *= 0.5
     out *= b
 
-    def bwd(g, a=a, b=b, shape=y.shape):
+    def bwd(g, yd):
+        a, b = yd[:, :h], yd[:, h:]
         t = _gelu_tanh(a)
         dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (a * a)))
-        gy = np.empty(shape, dtype=a.dtype)
+        gy = np.empty(yd.shape, dtype=yd.dtype)
         np.multiply(g * b, 0.5 * (1.0 + t) + 0.5 * a * dt, out=gy[:, :h])
         t += 1.0
         t *= a
@@ -557,9 +548,9 @@ def _matmul_grads(g: np.ndarray, a: Tensor, b: Tensor, ad: np.ndarray, bd: np.nd
     """Gradients of a @ b for upstream g, from the forward-time operands."""
     ga = gb = None
     if a.requires_grad:
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
     if b.requires_grad:
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
+        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
     return ga, gb
 
 
@@ -568,7 +559,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_matmul(a, b, "matmul")
     out = np.matmul(a.data, b.data)
 
-    def bwd(g, ad=a.data, bd=b.data):
+    def bwd(g, ad, bd):
         return _matmul_grads(g, a, b, ad, bd)
 
     return _make(out, (a, b), bwd)
@@ -601,11 +592,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
     if act is not None:
         out = _ACTIVATIONS[act][0](out)
 
-    def bwd(g, xd=x.data, wd=w.data, bd=b.data):
+    def bwd(g, xd, wd, bd):
         if act is not None:
             g = _ACTIVATIONS[act][1](g, _affine(xd, wd, bd))
         gx, gw = _matmul_grads(g, x, w, xd, wd)
-        return gx, gw, (_unbroadcast(g, b.shape) if b.requires_grad else None)
+        return gx, gw, (_unbroadcast(g, bd.shape) if b.requires_grad else None)
 
     return _make(out, inputs, bwd)
 
@@ -632,8 +623,8 @@ def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _norm_axes(axis, x.ndim)
     out = x.data.sum(axis=axes, keepdims=keepdims)
 
-    def bwd(g, x=x):
-        return (_expand_reduced(np.asarray(g), x.shape, axes, keepdims).astype(x.data.dtype, copy=False),)
+    def bwd(g, xd):
+        return (_expand_reduced(np.asarray(g), xd.shape, axes, keepdims).astype(xd.dtype, copy=False),)
 
     return _make(np.asarray(out, dtype=x.data.dtype), (x,), bwd)
 
@@ -645,10 +636,10 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         count *= x.shape[a]
     out = x.data.mean(axis=axes, keepdims=keepdims)
 
-    def bwd(g, x=x, count=count):
+    def bwd(g, xd):
         # every contributing element receives exactly 1/count of the upstream
-        g = np.asarray(g) / x.data.dtype.type(count)
-        return (_expand_reduced(g, x.shape, axes, keepdims).astype(x.data.dtype, copy=False),)
+        g = np.asarray(g) / xd.dtype.type(count)
+        return (_expand_reduced(g, xd.shape, axes, keepdims).astype(xd.dtype, copy=False),)
 
     return _make(np.asarray(out, dtype=x.data.dtype), (x,), bwd)
 
@@ -662,8 +653,8 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     except ValueError as e:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}") from e
 
-    def bwd(g, x=x):
-        return (np.asarray(g).reshape(x.shape),)
+    def bwd(g, xd):
+        return (np.asarray(g).reshape(xd.shape),)
 
     return _make(out, (x,), bwd)
 
@@ -677,7 +668,7 @@ def transpose(x: Tensor, perm=None) -> Tensor:
     out = _contig(x.data.transpose(perm))
     inv = tuple(np.argsort(perm))
 
-    def bwd(g):
+    def bwd(g, _):
         return (np.asarray(g).transpose(inv),)
 
     return _make(out, (x,), bwd)
@@ -697,7 +688,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     sizes = [t.shape[axis] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
-    def bwd(g):
+    def bwd(g, *_):
         return tuple(np.split(np.asarray(g), splits, axis=axis))
 
     return _make(out, tensors, bwd)
@@ -719,8 +710,8 @@ def index(x: Tensor, idx) -> Tensor:
     out = x.data[idx]
     out = _contig(out)
 
-    def bwd(g, x=x, idx=idx):
-        full = np.zeros_like(x.data)
+    def bwd(g, xd):
+        full = np.zeros_like(xd)
         full[idx] += g
         return (full,)
 
@@ -733,8 +724,8 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
         raise DimensionError(f"upsample expects (B, C, H, W), got {x.shape}")
     out = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
-    def bwd(g, x=x):
-        b, c, h, w = x.shape
+    def bwd(g, xd):
+        b, c, h, w = xd.shape
         return (np.asarray(g).reshape(b, c, h, 2, w, 2).sum(axis=(3, 5)),)
 
     return _make(out, (x,), bwd)
@@ -761,7 +752,7 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple) -> Tensor:
     pw = _pool_matrix(x.shape[3], out_hw[1], x.data.dtype)
     out = ph @ x.data @ pw.T
 
-    def bwd(g):
+    def bwd(g, _):
         return (ph.T @ np.asarray(g) @ pw,)
 
     return _make(out, (x,), bwd)
@@ -771,7 +762,8 @@ def adaptive_avg_pool2d(x: Tensor, out_hw: tuple) -> Tensor:
 #
 # Each layer below is one tape node with a hand-written backward that keeps
 # only the op's forward-time inputs (layer_norm adds its per-row std and
-# 1/std), so a conv or a norm costs one node and one saved output.
+# 1/std, attention its pooled keys and values and softmax weights), so a
+# conv or a norm costs one node and one saved output.
 
 
 def _layer_inputs(op: str, x: Tensor, w: Tensor, b: Tensor) -> tuple:
@@ -860,7 +852,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, k: int, stride: int = 1,
     out += b.data[:, None]
     out = out.reshape(bsz, cout, oh, ow)
 
-    def bwd(g, xd=x.data, wd=w.data):
+    def bwd(g, xd, wd, _):
         g = np.asarray(g).reshape(bsz, cout, oh * ow)
         gx = gw = None
         if x.requires_grad:
@@ -956,7 +948,7 @@ def depthwise_conv2d(x: Tensor, w: Tensor, b: Tensor, k: int, pad: int) -> Tenso
         raise DimensionError(f"depthwise_conv2d: {k}x{k} kernel does not fit input {x.shape}")
     out = _depthwise(x.data, w.data, b.data, k, pad)
 
-    def bwd(g, xd=x.data, wdat=w.data):
+    def bwd(g, xd, wdat, _):
         g = np.asarray(g)
         gx = _depthwise(g, wdat[::-1], None, k, k - 1 - pad) if x.requires_grad else None
         gw = None
@@ -999,7 +991,7 @@ def causal_conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     for j, lag in lags:
         out[:, lag:] += xd[:, : L - lag] * w.data[j]
 
-    def bwd(g, xd=xd, wd=w.data):
+    def bwd(g, xd, wd, _):
         g = np.asarray(g)
         gx = np.zeros_like(xd) if x.requires_grad else None
         gw = np.zeros_like(wd) if w.requires_grad else None
@@ -1038,11 +1030,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1) -> Tensor
     out = xn * gamma.data.reshape(pshape)
     out += beta.data.reshape(pshape)
 
-    def bwd(g, xd=xd, std=std, rstd=rstd, gd=gamma.data):
+    def bwd(g, xd, gd, _):
         g = np.asarray(g)
         xn = xd - xd.mean(axis=axis, keepdims=True)
         xn /= std
-        rest = tuple(a for a in range(x.ndim) if a != axis)
+        rest = tuple(a for a in range(xd.ndim) if a != axis)
         gx = None
         if x.requires_grad:
             gxn = g * gd.reshape(pshape)
@@ -1091,11 +1083,12 @@ def attention(qkv: Tensor, heads: int, pooled: int, scale: float | None = None) 
     with k and v adaptively average-pooled to a pooled x pooled grid and
     scale None skipping the product; returns (B, C, H, W).
 
-    One node that keeps only ``qkv``: q, k and v are read as views, and
-    backward recomputes the pools and the softmax weights. The forward is
-    the arithmetic of slicing, ``adaptive_avg_pool2d``, ``matmul``, ``mul``
-    and the max-shifted softmax, so values equal that chain's. Raises
-    NumericError on a NaN score.
+    One node that keeps ``qkv``, its pooled keys and values and the
+    softmax weights: q, k and v are read as views, and backward reuses what
+    the forward computed. The forward is the arithmetic of slicing,
+    ``adaptive_avg_pool2d``, ``matmul``, ``mul`` and the max-shifted
+    softmax, so values equal that chain's. Raises NumericError on a NaN
+    score.
     """
     if qkv.ndim != 4 or qkv.shape[1] % 3 or (qkv.shape[1] // 3) % heads:
         raise DimensionError(f"attention needs (B, 3C, H, W) with C divisible by "
@@ -1104,12 +1097,11 @@ def attention(qkv: Tensor, heads: int, pooled: int, scale: float | None = None) 
         raise ContractError(f"attention: pooled must be >= 1, got {pooled}")
     bsz, c3, h, w = qkv.shape
     c, dh = c3 // 3, c3 // 3 // heads
-    _, _, vp, att = _attention_parts(qkv.data, heads, pooled, scale)
+    q, kp_t, vp, att = _attention_parts(qkv.data, heads, pooled, scale)
     out = np.matmul(vp, att).reshape(bsz, c, h, w)
 
-    def bwd(g, qd=qkv.data):
+    def bwd(g, qd):
         g = np.asarray(g).reshape(bsz, heads, dh, h * w)
-        q, kp_t, vp, att = _attention_parts(qd, heads, pooled, scale)
         gkvp = np.empty((bsz, 2, heads, dh, pooled * pooled), dtype=qd.dtype)
         np.matmul(g, att.swapaxes(-1, -2), out=gkvp[:, 1])
         # through the softmax: att * (g_att - sum(g_att * att)), then the scale
@@ -1132,6 +1124,20 @@ def attention(qkv: Tensor, heads: int, pooled: int, scale: float | None = None) 
 # ---- recomputation -----------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _bound(params: tuple, arrays: tuple):
+    """Bind each parameter's data to its array in ``arrays`` for the block,
+    then rebind the data it had before."""
+    now = tuple(p.data for p in params)
+    try:
+        for p, d in zip(params, arrays):
+            p.data = d
+        yield
+    finally:
+        for p, d in zip(params, now):
+            p.data = d
+
+
 def recompute(fn: Callable, inputs: Sequence[Tensor], params: Sequence[Tensor]) -> Tensor:
     """``fn(*inputs)`` as one node that keeps only ``inputs``, where
     ``params`` are the parameters ``fn`` reads: activation checkpointing
@@ -1141,31 +1147,25 @@ def recompute(fn: Callable, inputs: Sequence[Tensor], params: Sequence[Tensor]) 
     Otherwise the forward runs ``fn`` under ``no_grad``, so nothing inside
     it is kept, and records one node when any input or any parameter needs
     grad; a constant input therefore still leaves the parameters a
-    gradient. Backward binds each parameter's forward-time data back, reruns
-    ``fn`` on fresh leaves over the saved inputs under its own ``Tape`` and
-    sweeps that tape from the upstream gradient exactly as received. The
-    inputs' gradients are the leaves' ``.grad``; the parameters receive
-    theirs as leaves of that inner sweep. The rerun repeats the forward's
-    arithmetic, so values and gradients equal those of recording ``fn``.
+    gradient. Backward binds each parameter's forward-time data, which the
+    node saved with the inputs', back, reruns ``fn`` on fresh leaves over the
+    saved inputs under its own ``Tape`` (which records even when backward
+    runs under ``no_grad``) and sweeps that tape from the upstream gradient
+    exactly as received. The inputs' gradients are the leaves' ``.grad``;
+    the parameters receive theirs as leaves of that inner sweep. The rerun
+    repeats the forward's arithmetic, so values and gradients equal those of
+    recording ``fn``.
     """
     inputs, params = tuple(inputs), tuple(params)
     if not needs_grad(inputs + params):
         return fn(*inputs)
     with no_grad():
         out = fn(*inputs)
-    saved, then = tuple(t.data for t in inputs), tuple(p.data for p in params)
 
-    def bwd(g):
+    def bwd(g, *saved):
         leaves = tuple(Tensor(d, requires_grad=t.requires_grad) for t, d in zip(inputs, saved))
-        now = tuple(p.data for p in params)
-        try:
-            for p, d in zip(params, then):
-                p.data = d
-            with Tape():
-                _sweep({id(fn(*leaves)): g})
-        finally:
-            for p, d in zip(params, now):
-                p.data = d
+        with _bound(params, saved[len(inputs):]), Tape():
+            _sweep({id(fn(*leaves)): g})
         return tuple(leaf.grad for leaf in leaves) + (None,) * len(params)
 
     return _make(out.data, inputs + params, bwd)

@@ -130,9 +130,9 @@ class TrainState:
     tcfg: TrainConfig
     weights: LossWeights
     opt_g: Adam
-    extractor: FeatureExtractor | None = None
-    disc: PatchDiscriminator | None = None
-    opt_d: Adam | None = None
+    extractor: FeatureExtractor | None
+    disc: PatchDiscriminator | None
+    opt_d: Adam | None
     step: int = 0
 
     @property

@@ -1,5 +1,7 @@
 """Blocks: conv layers against naive loop oracles, block invariants, FD grads."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -454,9 +456,10 @@ _SUB_BLOCKS = {
 }
 
 
-def _sub_block_grads(name, dtype, step=None):
+def _sub_block_grads(name, dtype, step=None, quiet=False):
     """Output, input gradient and parameter gradients of a fresh sub-block;
-    ``step`` runs between forward and backward."""
+    ``step`` runs between forward and backward, and ``quiet`` runs backward
+    under ``no_grad``."""
     make, shape = _SUB_BLOCKS[name]
     blk = make(dtype)
     x = Tensor(rng(83).standard_normal(shape).astype(dtype), requires_grad=True)
@@ -466,7 +469,8 @@ def _sub_block_grads(name, dtype, step=None):
         loss = T.sum_(y * Tensor(w))
         if step is not None:
             step(blk)
-        loss.backward()
+        with T.no_grad() if quiet else contextlib.nullcontext():
+            loss.backward()
     return [y.data, x.grad] + [p.grad for p in blk.parameters()]
 
 
@@ -495,6 +499,16 @@ def test_optimizer_step_between_forward_and_backward_keeps_forward_time_grads(na
     got = _sub_block_grads(name, np.float32, step=adam_step)
     for i, (a, e) in enumerate(zip(got, want)):
         assert np.array_equal(a, e), i
+
+
+@pytest.mark.parametrize("name", sorted(_SUB_BLOCKS))
+def test_backward_under_no_grad_keeps_the_recomputed_gradients(name):
+    # the innermost open Tape() or no_grad() decides recording, so the rerun
+    # of each recompute node records on its own Tape under an outer no_grad
+    want = _sub_block_grads(name, np.float32)
+    got = _sub_block_grads(name, np.float32, quiet=True)
+    for i, (a, e) in enumerate(zip(got, want)):
+        assert a is not None and np.array_equal(a, e), i
 
 
 # ---- one description: the sub-blocks read ModelConfig --------------------------------

@@ -8,7 +8,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "mxt"
 
 # parameters with a default plus dataclass fields with a default, over
 # src/mxt/*.py; a change that adds an option raises this number in plain view
-SETTABLE_VALUES = 143
+SETTABLE_VALUES = 100
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mxt.ssm as S
 import mxt.tensor as T
 from mxt.tensor import Tensor, Tape, ContractError, DimensionError, NumericError, no_grad
 from mxt.gradcheck import check_function, fd_gradients, relative_error
@@ -229,7 +230,7 @@ def _softmax_node(x, axis):
     e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
 
-    def bwd(g):
+    def bwd(g, _):
         return (out * (g - (g * out).sum(axis=axis, keepdims=True)),)
 
     return T._make(out, (x,), bwd)
@@ -525,6 +526,19 @@ def test_no_grad_records_nothing():
         assert not y.requires_grad
 
 
+def test_innermost_tape_or_no_grad_decides_recording():
+    x = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+    with T.no_grad():
+        with Tape() as tape:
+            with T.no_grad():
+                assert not (x * 2.0).requires_grad
+            y = T.sum_(x * 2.0)
+            assert len(tape) == 2 and y.requires_grad
+            y.backward()
+        assert not (x * 2.0).requires_grad
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
 def test_detach_blocks_gradient():
     x = Tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
     with Tape():
@@ -598,35 +612,73 @@ def test_fd_oracle_self_consistent():
 # ---- forward-time values, index contract, tape lifetime ----------------------
 
 
-def test_matmul_backward_uses_forward_time_weights():
+def _affine_tanh(w, b):
+    # a two-parameter chain for recompute: tanh(x @ w + b) * x
+    return lambda x: T.tanh(T.linear(x, w, b)) * x
+
+
+# every op that records a node, with the shapes of its inputs
+FORWARD_TIME_OPS = {
+    "add": (T.add, [(2, 3), (3,)]),
+    "sub": (T.sub, [(2, 3), (1, 3)]),
+    "mul": (T.mul, [(2,), (1, 2)]),
+    "div": (T.div, [(2, 3), (2, 3)]),
+    "neg": (T.neg, [(2, 3)]),
+    "exp": (T.exp, [(2, 3)]),
+    "abs": (T.abs_, [(2, 3)]),
+    "tanh": (T.tanh, [(2, 3)]),
+    "silu": (T.silu, [(2, 3)]),
+    "relu": (T.relu, [(2, 3)]),
+    "leaky_relu": (T.leaky_relu, [(2, 3)]),
+    "softplus": (T.softplus, [(2, 3)]),
+    "gelu_gate": (T.gelu_gate, [(2, 4, 3)]),
+    "matmul": (T.matmul, [(2, 3, 4), (4, 5)]),
+    "linear": (T.linear, [(3, 4), (4, 5), (5,)]),
+    "linear_silu": (lambda x, w, b: T.linear(x, w, b, "silu"), [(3, 4), (4, 5), (5,)]),
+    "linear_softplus": (lambda x, w, b: T.linear(x, w, b, "softplus"), [(3, 4), (4, 5), (5,)]),
+    "sum": (lambda x: T.sum_(x, axis=1), [(2, 3)]),
+    "mean": (lambda x: T.mean(x, axis=(0, 2), keepdims=True), [(2, 3, 4)]),
+    "reshape": (lambda x: T.reshape(x, (3, 2)), [(2, 3)]),
+    "transpose": (lambda x: T.transpose(x, (1, 0)), [(2, 3)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=1), [(2, 3), (2, 2)]),
+    "index": (lambda x: x[1:, ::2], [(3, 4)]),
+    "upsample_nearest2x": (T.upsample_nearest2x, [(1, 2, 2, 3)]),
+    "adaptive_avg_pool2d": (lambda x: T.adaptive_avg_pool2d(x, (2, 2)), [(1, 2, 5, 4)]),
+    "conv2d": (lambda x, w, b: T.conv2d(x, w, b, 3, 1, 1), [(2, 2, 4, 4), (18, 3), (3,)]),
+    "depthwise_conv2d": (lambda x, w, b: T.depthwise_conv2d(x, w, b, 3, 1),
+                         [(2, 2, 4, 4), (9, 2), (2,)]),
+    "causal_conv1d": (T.causal_conv1d, [(2, 5, 3), (2, 3), (3,)]),
+    "layer_norm": (lambda x, g, b: T.layer_norm(x, g, b, axis=1), [(2, 3, 2, 2), (3,), (3,)]),
+    "attention": (lambda qkv: T.attention(qkv, 2, 2, 0.7), [(1, 12, 4, 5)]),
+    "zoh_gain": (S.zoh_gain, [(3,), (2, 3)]),
+    "scan_recurrence": (lambda *ts: S.scan_recurrence(*ts, chunk_len=2),
+                        [(1, 5, 2), (1, 5, 2), (2, 3), (1, 5, 3), (1, 5, 3)]),
+    "recompute": (lambda x, w, b: T.recompute(_affine_tanh(w, b), (x,), (w, b)),
+                  [(3, 4), (4, 4), (4,)]),
+}
+
+
+@pytest.mark.parametrize("name", list(FORWARD_TIME_OPS))
+def test_backward_uses_forward_time_values(name):
     # an optimizer step rebinds .data between forward and backward; the
-    # gradient must still be that of the product the forward pass computed
-    v = Tensor(np.array([[1.0]]), requires_grad=True, dtype=np.float64)
-    w = Tensor(np.array([[2.0]]), requires_grad=True, dtype=np.float64)
-    with Tape():
-        y = T.sum_(v @ w)
-        w.data = w.data * 10.0
-        y.backward()
-    np.testing.assert_array_equal(v.grad, [[2.0]])
+    # gradient must still be that of the value the forward pass computed.
+    # Inputs lie in [0.5, 2), and the rebind flips their sign.
+    op, shapes = FORWARD_TIME_OPS[name]
 
-
-@pytest.mark.parametrize("op", [
-    lambda v, w: v * w,                   # _binary
-    lambda v, w: T.layer_norm(w, v, v),   # the normalized input is recomputed
-    lambda v, w: T.gelu_gate(w) * v,      # both halves are read in backward
-])
-def test_backward_uses_forward_time_values(op):
     def grads(rebind):
-        v = Tensor(np.array([1.5, -0.5]), requires_grad=True, dtype=np.float64)
-        w = Tensor(np.array([[2.0, 3.0]]), requires_grad=True, dtype=np.float64)
+        r = rng(79)
+        ts = [Tensor(r.uniform(0.5, 2.0, s), requires_grad=True, dtype=np.float64) for s in shapes]
         with Tape():
-            y = T.sum_(op(v, w))
+            y = op(*ts)
+            loss = T.sum_(y * Tensor(r.standard_normal(y.shape), dtype=np.float64))
             if rebind:
-                w.data = w.data[:, ::-1] * 10.0
-            y.backward()
-        return v.grad, w.grad
+                for t in ts:
+                    t.data = -2.0 * t.data
+            loss.backward()
+        return [t.grad for t in ts]
 
     for clean, moved in zip(grads(False), grads(True)):
+        assert clean is not None
         np.testing.assert_array_equal(clean, moved)
 
 
@@ -694,11 +746,6 @@ def test_backward_after_tape_exit_raises():
 
 
 # ---- recompute, read-only recorded outputs -------------------------------------
-
-
-def _affine_tanh(w, b):
-    # a two-parameter chain for recompute: tanh(x @ w + b) * x
-    return lambda x: T.tanh(T.linear(x, w, b)) * x
 
 
 def test_recompute_gradients_match_fd():
