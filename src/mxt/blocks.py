@@ -7,9 +7,11 @@ tensor op with a hand-written backward, so it records one tape node that
 keeps only its inputs; the sub-blocks compose those layers with generic tape
 ops, the feed-forward's gate is the one-node ``gelu_gate``, the attention
 term is the one-node ``attention`` and every Linear applies its activation
-within its own node. Each sub-block runs its largest cheap-to-rebuild chain
-through ``recompute``, which keeps only the chain's inputs and reruns it in
-backward. Every MambaBlock reads its
+within its own node. Each sub-block runs through ``recompute``, which keeps
+only a chain's inputs and reruns it in backward: Srsa and Gdfn are one chain
+from their input each (CBFN's mean-add follows), and MambaBlock keeps its
+norm and scan recorded and runs inp -> conv and out(gate * body) as two
+chains from the norm output. Every MambaBlock reads its
 positional table from one shared cache, one constant table per (L, C, dtype).
 """
 
@@ -240,9 +242,10 @@ class Srsa(Module):
         return self.qkv_dw(self.qkv(self.norm(x)))              # (B, 3C, H, W)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.recompute(self._local_plus_attention, (self._qkv(x),), self.local.parameters())
+        return T.recompute(self._local_plus_attention, (x,), self.parameters())
 
-    def _local_plus_attention(self, qkv: Tensor) -> Tensor:
+    def _local_plus_attention(self, x: Tensor) -> Tensor:
+        qkv = self._qkv(x)
         v = qkv[:, 2 * qkv.shape[1] // 3 :]
         return self.local(v) + T.attention(qkv, self._heads, self._pooled, self._scale)
 
@@ -279,16 +282,21 @@ class MambaBlock(Module):
         seq = T.transpose(T.reshape(x, (bsz, c, L)), (0, 2, 1))   # (B, L, C)
         if self._cfg.use_pe:
             seq = seq + _positional_table(L, c, seq.dtype)
+        # the norm stays recorded: rerun inside both chains, its gamma and
+        # beta would sum their two gradients in another order
         seq = self.norm(seq)
-        body = self.conv(self.inp(seq))
-        if self._cfg.silu_after_conv:
-            body = T.silu(body)
+        body = T.recompute(self._conv_in, (seq,), self.inp.parameters() + self.conv.parameters())
         body = scan_chunked(body, self.ssm, self._cfg.scan_chunk)
-        y = T.recompute(self._gated_out, (self.gate(seq), body), self.out.parameters())
+        y = T.recompute(self._gated_out, (seq, body),
+                        self.gate.parameters() + self.out.parameters())
         return T.reshape(T.transpose(y, (0, 2, 1)), (bsz, c, h, w))   # (B, C, H, W)
 
-    def _gated_out(self, gate: Tensor, body: Tensor) -> Tensor:
-        return self.out(gate * body)                               # (B, L, C)
+    def _conv_in(self, seq: Tensor) -> Tensor:
+        body = self.conv(self.inp(seq))
+        return T.silu(body) if self._cfg.silu_after_conv else body
+
+    def _gated_out(self, seq: Tensor, body: Tensor) -> Tensor:
+        return self.out(self.gate(seq) * body)                     # (B, L, C)
 
 
 class Gdfn(Module):
@@ -310,11 +318,10 @@ class Gdfn(Module):
         self._broadcast = cfg.use_cbfn
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.recompute(self._gated_project, (self.expand(self.norm(x)),),
-                        self.dw.parameters() + self.project.parameters())
+        y = T.recompute(self._gated_project, (x,), self.parameters())
         if self._broadcast:
             y = y + T.mean(y, axis=(2, 3), keepdims=True)
         return y
 
-    def _gated_project(self, y: Tensor) -> Tensor:
-        return self.project(T.gelu_gate(self.dw(y)))
+    def _gated_project(self, x: Tensor) -> Tensor:
+        return self.project(T.gelu_gate(self.dw(self.expand(self.norm(x)))))

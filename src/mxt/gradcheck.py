@@ -39,11 +39,9 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def _tape_vs_fd(leaves: list, objective: Callable, value: Callable, h: float) -> list:
-    """Relative error of each leaf's tape gradient of the scalar objective()
-    against central differences of value(*arrays). The differences run on
-    private copies of the leaves' arrays, so no array a leaf wraps is written.
-    The leaves' .grad is cleared before and after."""
+def _tape_gradients(leaves: list, objective: Callable) -> list:
+    """Each leaf's tape gradient of the scalar objective(), zeros where none
+    arrives. The leaves' .grad is cleared before and after."""
     for leaf in leaves:
         leaf.grad = None
     with Tape():
@@ -51,10 +49,18 @@ def _tape_vs_fd(leaves: list, objective: Callable, value: Callable, h: float) ->
         if out.shape != ():
             raise ValueError(f"gradcheck target must be scalar, got {out.shape}")
         out.backward()
-    analytic = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-                for leaf in leaves]
+    grads = [leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+             for leaf in leaves]
     for leaf in leaves:
         leaf.grad = None
+    return grads
+
+
+def _tape_vs_fd(leaves: list, objective: Callable, value: Callable, h: float) -> list:
+    """Relative error of each leaf's tape gradient of the scalar objective()
+    against central differences of value(*arrays). The differences run on
+    private copies of the leaves' arrays, so no array a leaf wraps is written."""
+    analytic = _tape_gradients(leaves, objective)
     numeric = fd_gradients(value, [leaf.data.copy() for leaf in leaves], h=h)
     return [relative_error(a, n) for a, n in zip(analytic, numeric)]
 
@@ -77,6 +83,28 @@ def _reduce_weights(shape: tuple) -> np.ndarray:
     return np.random.default_rng(1234).standard_normal(shape)
 
 
+def _directional_errors(leaves: list, objective: Callable, value: Callable,
+                        rng: np.random.Generator, count: int, h: float) -> list:
+    """Relative error of the tape gradient of the scalar objective() along
+    each of ``count`` random unit directions v over all leaves together,
+    against the central difference (value(a + h v) - value(a - h v)) / 2h of
+    value(*arrays) at the leaves' arrays a: the check for a graph too large
+    to difference elementwise."""
+    grads = _tape_gradients(leaves, objective)
+    # value() may rebind the leaves' data, so the base point is read once
+    base = [leaf.data for leaf in leaves]
+    errs = []
+    for _ in range(count):
+        v = [rng.standard_normal(a.shape) for a in base]
+        norm = np.sqrt(sum(float(np.vdot(d, d)) for d in v))
+        v = [d / norm for d in v]
+        tape_dot = sum(float(np.vdot(g, d)) for g, d in zip(grads, v))
+        up = value(*[a + h * d for a, d in zip(base, v)])
+        dn = value(*[a - h * d for a, d in zip(base, v)])
+        errs.append(relative_error(np.array(tape_dot), np.array((up - dn) / (2.0 * h))))
+    return errs
+
+
 def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, forward=None) -> dict:
     """FD-verify a Module's gradients wrt its input and every parameter.
 
@@ -85,6 +113,17 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, forward=None)
     the check. Returns {name: rel_err} plus a "worst" entry; the input slot
     is named "<input>".
     """
+    names, errs = _module_check(
+        module, x, forward, lambda leaves, objective, value: _tape_vs_fd(leaves, objective, value, h))
+    report = dict(zip(names, errs))
+    report["worst"] = max(report.values())
+    return report
+
+
+def _module_check(module, x: np.ndarray, forward, compare) -> tuple:
+    """``compare(leaves, objective, value)`` over the module's input and
+    trainable parameters, as ``check_module_gradients`` describes; returns
+    the slot names ("<input>" first) and what ``compare`` returned."""
     forward = forward or (lambda m, t: m(t))
     params = list(module.named_parameters())
     if any(p.data.dtype != np.float64 for _, p in params):
@@ -106,11 +145,38 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, forward=None)
         return float(np.sum(out.data * _reduce_weights(out.shape)))
 
     try:
-        errs = _tape_vs_fd([xt] + [p for _, p in checked], objective, value, h)
+        result = compare([xt] + [p for _, p in checked], objective, value)
     finally:
         for (_, p), arr in zip(checked, originals):
             p.data = arr
-    report = dict(zip(["<input>"] + [name for name, _ in checked], errs))
+    return ["<input>"] + [name for name, _ in checked], result
+
+
+def _check_model(rng: np.random.Generator, h: float) -> dict:
+    """Directional check of a whole float64 MxT (base 4, one hybrid module
+    per stage) at 16x16, B = 2, under the full generator loss with each
+    adversarial mode: 3 random unit directions over every parameter and the
+    input together. Slots are "<mode>.v<i>"."""
+    from .losses import FeatureExtractor, LossWeights, PatchDiscriminator, generator_loss
+    from .model import ModelConfig, MxT
+
+    f64 = np.float64
+    model = MxT(ModelConfig(base_channels=4, hm_counts=(1,) * 7), rng, dtype=f64)
+    extractor = FeatureExtractor(dtype=f64)
+    disc = PatchDiscriminator(rng, widths=(4, 8), dtype=f64)
+    gt = rng.uniform(0.05, 0.95, (2, 3, 16, 16))
+    mask = np.zeros((2, 1, 16, 16))
+    mask[:, :, 4:12, 4:12] = 1.0
+    x = np.concatenate([gt * (1.0 - mask), mask], axis=1)
+    report = {}
+    for mode in ("nonsat", "hinge"):
+        weights = LossWeights(adv_mode=mode)
+        _, errs = _module_check(
+            model, x,
+            lambda m, t: generator_loss(m(t), Tensor(gt), mask, weights, extractor, disc)[0],
+            lambda leaves, objective, value: _directional_errors(
+                leaves, objective, value, rng, 3, h))
+        report.update({f"{mode}.v{i}": err for i, err in enumerate(errs)})
     report["worst"] = max(report.values())
     return report
 
@@ -119,7 +185,8 @@ def check_module_gradients(module, x: np.ndarray, h: float = 1e-5, forward=None)
 #
 # Every trainable block and every loss term, checked on small float64 inputs
 # (4x4 spatial). Backward rules do not depend on widths, so the discriminator
-# used for the adversarial checks is a narrow one to keep FD affordable.
+# used for the adversarial checks is a narrow one to keep FD affordable. The
+# "model" check runs the assembled network and loss along random directions.
 
 STANDARD_BLOCKS = (
     "layer_norm",
@@ -139,6 +206,7 @@ STANDARD_BLOCKS = (
     "loss_adv_g_hinge",
     "loss_adv_d_nonsat",
     "loss_adv_d_hinge",
+    "model",
 )
 
 
@@ -226,6 +294,8 @@ def run_standard_check(name: str, h: float = 1e-5) -> dict:
         return check_module_gradients(
             disc, img, h=h,
             forward=lambda m, t: discriminator_loss(m, t, fake, mode))
+    if name == "model":
+        return _check_model(rng, h)
     raise ValueError(f"unknown gradcheck block {name!r}; "
                      f"known: {', '.join(STANDARD_BLOCKS)}")
 

@@ -431,19 +431,38 @@ def test_each_layer_records_one_node(make, shape):
 
 
 def test_sub_block_tape_budget():
-    # pinned at the fused layers: norm and convs are one node each, and the
-    # dw -> gelu gate -> project chain is one recompute node; context
-    # broadcast adds a mean and an add
-    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=False), rng(43)), (1, 8, 8, 8)) == 3
-    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=True), rng(43)), (1, 8, 8, 8)) == 5
-    # Srsa: norm, qkv, qkv_dw, and one recompute node for the v slice, local,
+    # the whole norm -> expand -> dw -> gelu gate -> project chain is one
+    # recompute node; context broadcast adds a mean and an add
+    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=False), rng(43)), (1, 8, 8, 8)) == 1
+    assert _recorded_nodes(B.Gdfn(8, ModelConfig(use_cbfn=True), rng(43)), (1, 8, 8, 8)) == 3
+    # Srsa is one recompute node over norm, qkv, qkv_dw, the v slice, local,
     # attention and the sum, with or without the scale
-    assert _recorded_nodes(B.Srsa(8, ModelConfig(), rng(44)), (1, 8, 8, 8)) == 4
-    assert _recorded_nodes(B.Srsa(8, ModelConfig(scale_qk=True), rng(44)), (1, 8, 8, 8)) == 4
-    # every Linear and the scan's dt projection are one linear node, their
-    # silu or softplus included; the gate product and the output projection
-    # are one recompute node
-    assert _recorded_nodes(B.MambaBlock(8, ModelConfig(), rng(44)), (1, 8, 4, 4)) == 16
+    assert _recorded_nodes(B.Srsa(8, ModelConfig(), rng(44)), (1, 8, 8, 8)) == 1
+    assert _recorded_nodes(B.Srsa(8, ModelConfig(scale_qk=True), rng(44)), (1, 8, 8, 8)) == 1
+    # the norm and the scan are recorded, and the scan's dt projection is one
+    # linear node, its softplus included; inp -> conv (-> silu) is one
+    # recompute node, and so are gate, product and output projection
+    assert _recorded_nodes(B.MambaBlock(8, ModelConfig(), rng(44)), (1, 8, 4, 4)) == 14
+    assert _recorded_nodes(B.MambaBlock(8, ModelConfig(silu_after_conv=True), rng(44)),
+                           (1, 8, 4, 4)) == 14
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def test_hybrid_module_saves_at_most_20_times_its_input():
+    # each sub-block keeps only the input of its recompute chains: the
+    # distinct buffers behind the live nodes' saved arrays (a view counts as
+    # the array it views, once) stay under 20x the input's bytes
+    hm = HybridModule(16, ModelConfig(), rng(45))
+    x = Tensor(rng(46).standard_normal((2, 16, 32, 32)).astype(np.float32), requires_grad=True)
+    with T.Tape() as tape:
+        hm(x)
+        held = {id(r): r.nbytes for node in tape.nodes for r in map(_root, node.saved)}
+    assert sum(held.values()) <= 20 * x.data.nbytes
 
 
 # ---- recomputed chains ------------------------------------------------------------------
@@ -452,6 +471,8 @@ def test_sub_block_tape_budget():
 _SUB_BLOCKS = {
     "srsa": (lambda d: B.Srsa(8, ModelConfig(), rng(80), dtype=d), (2, 8, 8, 8)),
     "mamba": (lambda d: B.MambaBlock(8, ModelConfig(), rng(81), dtype=d), (2, 8, 4, 4)),
+    "mamba-silu-skip": (lambda d: B.MambaBlock(
+        8, ModelConfig(silu_after_conv=True, use_skip_d=True), rng(81), dtype=d), (2, 8, 4, 4)),
     "gdfn": (lambda d: B.Gdfn(8, ModelConfig(), rng(82), dtype=d), (2, 8, 8, 8)),
 }
 

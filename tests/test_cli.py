@@ -323,6 +323,12 @@ def test_gradcheck_subset_passes(capsys):
     assert "failures=0" in out
 
 
+def test_gradcheck_runs_the_model_check(capsys):
+    assert main(["gradcheck", "--blocks", "model"]) == 0
+    out = capsys.readouterr().out
+    assert "block=model" in out and "failures=0" in out
+
+
 def test_scan_bench_reports_ratio(capsys):
     rc = main(["scan-bench", "--length", "64", "--repeats", "3"])
     assert rc == 0
